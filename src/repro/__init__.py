@@ -6,8 +6,7 @@ The package is organised in seven layers:
 * :mod:`repro.geometry` -- coordinates and ports, shared by everything else;
 * :mod:`repro.topology` -- the pluggable network structure: the
   :class:`Topology` interface with mesh / torus / ring / concentrated-mesh
-  implementations and XY/YX dimension-ordered routing strategies
-  (:mod:`repro.routing` remains as thin compatibility wrappers);
+  implementations and XY/YX dimension-ordered routing strategies;
 * :mod:`repro.core` -- the paper's contribution: WaP packetization, WaW
   weighted arbitration, the time-composable WCTT analyses, per-core upper
   bound delays and the router area model;
@@ -54,6 +53,7 @@ See README.md for installation, the experiment index and the full tour.
 from .geometry import Coord, Mesh, Port
 from .topology import (
     ConcentratedMesh,
+    Hop,
     Mesh2D,
     Ring,
     RoutingStrategy,
@@ -62,7 +62,6 @@ from .topology import (
     as_topology,
     make_topology,
 )
-from .routing import Hop, xy_output_port, xy_route
 from .api import (
     BatchEngine,
     BatchJob,
@@ -131,7 +130,7 @@ from .analysis import (
     vector_wctt_summary,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 #: Service entry points resolved lazily (they pull in asyncio machinery
 #: that most library users never touch).
@@ -163,8 +162,6 @@ __all__ = [
     "as_topology",
     "make_topology",
     "Hop",
-    "xy_output_port",
-    "xy_route",
     "ArbitrationPolicy",
     "Flow",
     "FlowSet",

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -40,6 +41,7 @@ __all__ = [
     "BatchResult",
     "BatchEngine",
     "config_hash",
+    "axis_jobs",
     "map_jobs",
     "safe_execute_job",
 ]
@@ -184,6 +186,34 @@ def safe_execute_job(job: BatchJob) -> Tuple[str, Any, float]:
         return ("error", f"{type(exc).__name__}: {exc}", time.perf_counter() - start)
 
 
+def axis_jobs(
+    experiment: str,
+    *,
+    quick: bool = False,
+    base_params: Optional[Mapping[str, Any]] = None,
+    **axes: Iterable[Any],
+) -> List[BatchJob]:
+    """Expand axis grids into jobs (cartesian product, row-major order).
+
+    Axis names are translated to run() parameters by the experiment's
+    registered ``sweep_axes`` (e.g. ``size=(2, 3, 4)`` becomes
+    ``sizes=(2,)`` per design point for table2 but ``mesh_size=2`` for
+    table3); ``base_params`` are shared by every design point.
+    """
+    spec = registry.get_experiment(experiment)
+    names = list(axes)
+    grids = [list(axes[name]) for name in names]
+    for name, values in zip(names, grids):
+        if not values:
+            raise ValueError(f"sweep axis {name!r} has no values")
+    batch: List[BatchJob] = []
+    for combo in itertools.product(*grids):
+        params = dict(base_params or {})
+        params.update(spec.params_for_axes(**dict(zip(names, combo))))
+        batch.append(BatchJob(experiment=experiment, params=params, quick=quick))
+    return batch
+
+
 def _failure_result(job: BatchJob, error: str) -> ExperimentResult:
     """The empty placeholder result recorded for a failed design point."""
     return ExperimentResult(
@@ -295,27 +325,10 @@ class BatchEngine:
         base_params: Optional[Mapping[str, Any]] = None,
         **axes: Iterable[Any],
     ) -> List[BatchResult]:
-        """Expand axis grids into jobs and run them (cartesian product).
-
-        Axis names are translated to run() parameters by the experiment's
-        registered ``sweep_axes`` (e.g. ``size=(2, 3, 4)`` becomes
-        ``sizes=(2,)`` per design point for table2 but ``mesh_size=2`` for
-        table3).
-        """
-        spec = registry.get_experiment(experiment)
-        names = list(axes)
-        grids = [list(axes[name]) for name in names]
-        for name, values in zip(names, grids):
-            if not values:
-                raise ValueError(f"sweep axis {name!r} has no values")
-        import itertools
-
-        batch: List[BatchJob] = []
-        for combo in itertools.product(*grids):
-            params = dict(base_params or {})
-            params.update(spec.params_for_axes(**dict(zip(names, combo))))
-            batch.append(BatchJob(experiment=experiment, params=params, quick=quick))
-        return self.run_many(batch)
+        """Expand axis grids into jobs (see :func:`axis_jobs`) and run them."""
+        return self.run_many(
+            axis_jobs(experiment, quick=quick, base_params=base_params, **axes)
+        )
 
     # ------------------------------------------------------------------
     # Export

@@ -14,9 +14,7 @@ Each experiment module registers its ``run()`` function with::
 The decorator wraps the function so it returns an
 :class:`~repro.api.results.ExperimentResult` (carrying the call parameters
 and the paper reference) and records an :class:`ExperimentSpec` in the global
-registry, which the CLI and the batch engine use for discovery.  The old
-hand-maintained ``EXPERIMENTS`` dict in ``runner.py`` is now derived from
-this registry.
+registry, which the CLI and the batch engine use for discovery.
 """
 
 from __future__ import annotations
@@ -92,10 +90,6 @@ class ExperimentSpec:
         if result is None:
             return report_fn(**kwargs)
         return report_fn(unwrap(result), **kwargs)
-
-    def report_text(self, *, quick: bool = False, **params: Any) -> str:
-        """Run and render in one step (the legacy ``run_experiment`` shape)."""
-        return self.report(self.run(quick=quick, **params))
 
     def supports_param(self, name: str) -> bool:
         """True when the experiment's ``run()`` accepts keyword ``name``.

@@ -422,8 +422,11 @@ class Campaign:
     def _execute_service(self, shard: Shard):
         response = self.client.submit(list(shard.jobs), wait=True)
         job_records = []
-        for job, digest, ticket in zip(
-            shard.jobs, shard.job_hashes, response.get("tickets", [])
+        for job, digest, ticket, data in zip(
+            shard.jobs,
+            shard.job_hashes,
+            response.get("tickets", []),
+            response.get("results", []),
         ):
             error = ticket.get("error")
             job_records.append(
@@ -433,7 +436,8 @@ class Campaign:
                     "quick": job.quick,
                     "status": "failed" if error else "ok",
                     "error": error,
-                    "cached": ticket.get("source") == "cache",
+                    # The daemon marks a result cached in its wire dict.
+                    "cached": bool(data and data.get("cached")),
                     "duration_seconds": 0.0,
                 }
             )

@@ -28,25 +28,25 @@ blind-validated sweeps)::
     repro-experiments campaign resume ID [--jobs N] [--store-dir DIR] [--json F]
     repro-experiments campaign report ID [--store-dir DIR] [--json F]
 
+``sweep``, ``submit`` and ``campaign run`` share one set of grid options
+(``--experiment``, ``--sizes``, ``--packet-flits``, ``--fault-rates``,
+``--trials``, ``--quick``), expand them into the same jobs and report the
+outcome the same way: failed design points on stderr and exit status 1.
+
 ``--backend`` selects the simulation backend (``cycle`` or ``event``) for
 the experiments that drive the cycle-accurate simulator; both backends
 produce identical results, ``event`` skips idle cycles and is much faster.
 ``--analysis`` selects the analysis backend (``regular``, ``weighted``,
 ``holistic``, ``trajectory``, ``vector``) for the experiments that accept
 one (currently ``scenario_wctt``).
-
-The pre-subcommand invocation style keeps working: ``repro-experiments
-table2 fig2a``, ``repro-experiments --list`` and ``repro-experiments
---quick`` are rewritten to the equivalent subcommand form.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..analysis.backends import (
     available_analysis_backends,
@@ -62,61 +62,15 @@ from ..api import (
     get_experiment,
     list_experiments,
 )
+from ..api.engine import axis_jobs
 from ..sim import available_backends, normalize_backend_name
 
-__all__ = ["EXPERIMENTS", "main", "run_experiment"]
-
-_SUBCOMMANDS = (
-    "run", "list", "sweep", "export", "serve", "submit", "status", "fetch",
-    "cache", "campaign",
-)
-
-
-def _build_legacy_experiments() -> Dict[str, Dict[str, Any]]:
-    """The historical ``EXPERIMENTS`` mapping, now derived from the registry.
-
-    Kept for backwards compatibility: name -> {description, default report
-    builder, quick report builder}.  New code should use
-    :func:`repro.api.get_experiment` instead.
-    """
-    table: Dict[str, Dict[str, Any]] = {}
-    for spec in list_experiments():
-        table[spec.name] = {
-            "description": spec.description,
-            "default": (lambda s=spec: s.report_text()),
-            "quick": (lambda s=spec: s.report_text(quick=True)),
-        }
-    return table
-
-
-#: Deprecated compatibility view of the registry (see _build_legacy_experiments).
-EXPERIMENTS: Dict[str, Dict[str, Any]] = _build_legacy_experiments()
-
-
-def run_experiment(name: str, *, quick: bool = False) -> str:
-    """Run one experiment by name and return its textual report.
-
-    Unknown names raise :class:`~repro.api.UnknownExperimentError` (a
-    ``KeyError``) whose message lists close matches, e.g. ``tabel2`` suggests
-    ``table2``.
-    """
-    return get_experiment(name).report_text(quick=quick)
+__all__ = ["main"]
 
 
 # ----------------------------------------------------------------------
 # Argument parsing
 # ----------------------------------------------------------------------
-def _normalise_argv(argv: List[str]) -> List[str]:
-    """Rewrite the legacy invocation style into subcommand form."""
-    if not argv:
-        return ["run"]
-    if argv[0] in _SUBCOMMANDS or argv[0] in ("-h", "--help"):
-        return argv
-    if "--list" in argv:
-        return ["list"]
-    return ["run"] + argv
-
-
 def _csv_ints(text: str) -> List[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
@@ -131,50 +85,32 @@ def _csv_floats(text: str) -> List[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _backend_name(text: str) -> str:
-    """argparse type: resolve backend names and aliases, reject unknowns."""
-    try:
-        return normalize_backend_name(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
+def _name_type(normalize: Callable[[str], str]) -> Callable[[str], str]:
+    """argparse type: resolve names and aliases with ``normalize``, reject unknowns."""
+
+    def parse(text: str) -> str:
+        try:
+            return normalize(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error))
+
+    return parse
 
 
-def _add_backend_option(parser: argparse.ArgumentParser) -> None:
+def _add_design_options(parser: argparse.ArgumentParser) -> None:
+    """``--backend`` and ``--analysis`` (forwarded by :func:`_cli_params`)."""
     parser.add_argument(
-        "--backend", default=None, type=_backend_name, metavar="NAME",
+        "--backend", default=None, type=_name_type(normalize_backend_name),
+        metavar="NAME",
         help=(
             "simulation backend for the simulating experiments "
             f"({', '.join(available_backends())}); results are identical, "
             "'event' skips idle cycles and is much faster"
         ),
     )
-
-
-def _backend_params(name: str, backend: Optional[str]) -> Dict[str, Any]:
-    """The run() params carrying ``--backend`` to experiments that accept it."""
-    if backend is None:
-        return {}
-    spec = get_experiment(name)
-    if not spec.supports_param("backend"):
-        print(
-            f"note: {name} does not simulate; --backend {backend} is ignored for it",
-            file=sys.stderr,
-        )
-        return {}
-    return {"backend": backend}
-
-
-def _analysis_name(text: str) -> str:
-    """argparse type: resolve analysis-backend names and aliases."""
-    try:
-        return normalize_analysis_backend_name(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
-def _add_analysis_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--analysis", default=None, type=_analysis_name, metavar="NAME",
+        "--analysis", default=None,
+        type=_name_type(normalize_analysis_backend_name), metavar="NAME",
         help=(
             "analysis backend for the experiments that accept one "
             f"({', '.join(available_analysis_backends())})"
@@ -182,33 +118,68 @@ def _add_analysis_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _analysis_params(name: str, analysis: Optional[str]) -> Dict[str, Any]:
-    """The run() params carrying ``--analysis`` to experiments that accept it."""
-    if analysis is None:
-        return {}
-    spec = get_experiment(name)
-    if not spec.supports_param("analysis"):
-        print(
-            f"note: {name} has a fixed analysis; --analysis {analysis} is "
-            "ignored for it",
-            file=sys.stderr,
-        )
-        return {}
-    return {"analysis": analysis}
+#: Forwarded option -> why an experiment whose run() lacks it ignores it.
+_FORWARDED = (("backend", "does not simulate"), ("analysis", "has a fixed analysis"))
 
 
 def _cli_params(name: str, args: argparse.Namespace) -> Dict[str, Any]:
-    """Merge every option-derived run() param for one experiment."""
-    params = _backend_params(name, args.backend)
-    params.update(_analysis_params(name, getattr(args, "analysis", None)))
+    """The run() params carrying ``--backend``/``--analysis`` to ``name``."""
+    params: Dict[str, Any] = {}
+    for option, reason in _FORWARDED:
+        value = getattr(args, option)
+        if value is None:
+            continue
+        if get_experiment(name).supports_param(option):
+            params[option] = value
+        else:
+            print(
+                f"note: {name} {reason}; --{option} {value} is ignored for it",
+                file=sys.stderr,
+            )
     return params
 
 
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
+    # main() rejects values below 1 for every command, before it runs.
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for parallel execution (default: 1)",
+        help="worker processes computing design points (default: 1)",
     )
+
+
+def _add_grid_options(parser: argparse.ArgumentParser) -> None:
+    """The design-grid options of ``sweep``, ``submit`` and ``campaign run``."""
+    parser.add_argument(
+        "--experiment", default=None, metavar="NAME",
+        help="experiment to sweep over the axis options (default: table2)",
+    )
+    parser.add_argument(
+        "--sizes", type=_csv_ints, default=None, metavar="N,N,...",
+        help="mesh sizes to sweep, e.g. 2,3,4",
+    )
+    parser.add_argument(
+        "--packet-flits", type=_csv_ints, default=None, metavar="N,N,...",
+        help="maximum packet sizes to sweep, e.g. 1,4,8",
+    )
+    parser.add_argument(
+        "--fault-rates", type=_csv_floats, default=None, metavar="R,R,...",
+        help=(
+            "per-link fault rates to sweep (reliability_sweep), "
+            "e.g. 0,0.005,0.02"
+        ),
+    )
+    parser.add_argument(
+        "--trials", type=int, default=None, metavar="N",
+        help="Monte-Carlo trials per design point (reliability_sweep)",
+    )
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="apply each experiment's quick parameters to every design point",
+    )
+
+
+def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+    _add_jobs_option(parser)
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist results as JSON keyed by config hash in DIR",
@@ -270,8 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="use smaller meshes / shorter simulations",
     )
-    _add_backend_option(run_parser)
-    _add_analysis_option(run_parser)
+    _add_design_options(run_parser)
     _add_engine_options(run_parser)
     _add_export_options(run_parser)
 
@@ -283,35 +253,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser = subparsers.add_parser(
         "sweep", help="run one experiment over a parameter grid"
     )
-    sweep_parser.add_argument(
-        "--experiment", default="table2", metavar="NAME",
-        help="experiment to sweep (default: table2)",
-    )
-    sweep_parser.add_argument(
-        "--sizes", type=_csv_ints, default=None, metavar="N,N,...",
-        help="mesh sizes to sweep, e.g. 2,3,4",
-    )
-    sweep_parser.add_argument(
-        "--packet-flits", type=_csv_ints, default=None, metavar="N,N,...",
-        help="maximum packet sizes to sweep, e.g. 1,4,8",
-    )
-    sweep_parser.add_argument(
-        "--fault-rates", type=_csv_floats, default=None, metavar="R,R,...",
-        help=(
-            "per-link fault rates to sweep (reliability_sweep), "
-            "e.g. 0,0.005,0.02"
-        ),
-    )
-    sweep_parser.add_argument(
-        "--trials", type=int, default=None, metavar="N",
-        help="Monte-Carlo trials per design point (reliability_sweep)",
-    )
-    sweep_parser.add_argument(
-        "--quick", action="store_true",
-        help="apply the experiment's quick parameters to every design point",
-    )
-    _add_backend_option(sweep_parser)
-    _add_analysis_option(sweep_parser)
+    # sweep always sweeps one experiment: it takes no experiment NAMEs.
+    sweep_parser.set_defaults(experiments=None)
+    _add_grid_options(sweep_parser)
+    _add_design_options(sweep_parser)
     _add_engine_options(sweep_parser)
     _add_export_options(sweep_parser)
 
@@ -339,10 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=None, metavar="PORT",
         help="port to bind (default: 8537; 0 binds an ephemeral port)",
     )
-    serve_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes computing submitted jobs (default: 1)",
-    )
+    _add_jobs_option(serve_parser)
     serve_parser.add_argument(
         "--batch-size", type=int, default=8, metavar="N",
         help="queued jobs fanned onto the worker pool at once (default: 8)",
@@ -360,36 +302,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiments", nargs="*", metavar="NAME",
         help="experiments to submit (or use --experiment with sweep axes)",
     )
-    submit_parser.add_argument(
-        "--experiment", default=None, metavar="NAME",
-        help="experiment to sweep when axis options are given (default: table2)",
-    )
-    submit_parser.add_argument(
-        "--sizes", type=_csv_ints, default=None, metavar="N,N,...",
-        help="mesh sizes to sweep, e.g. 2,3,4",
-    )
-    submit_parser.add_argument(
-        "--packet-flits", type=_csv_ints, default=None, metavar="N,N,...",
-        help="maximum packet sizes to sweep, e.g. 1,4,8",
-    )
-    submit_parser.add_argument(
-        "--fault-rates", type=_csv_floats, default=None, metavar="R,R,...",
-        help="per-link fault rates to sweep (reliability_sweep)",
-    )
-    submit_parser.add_argument(
-        "--trials", type=int, default=None, metavar="N",
-        help="Monte-Carlo trials per design point (reliability_sweep)",
-    )
-    submit_parser.add_argument(
-        "--quick", action="store_true",
-        help="apply each experiment's quick parameters",
-    )
+    _add_grid_options(submit_parser)
     submit_parser.add_argument(
         "--no-wait", action="store_true",
         help="return tickets immediately instead of waiting for results",
     )
-    _add_backend_option(submit_parser)
-    _add_analysis_option(submit_parser)
+    _add_design_options(submit_parser)
     _add_service_options(submit_parser)
     _add_export_options(submit_parser)
 
@@ -444,30 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiments", nargs="*", metavar="NAME",
         help="experiments to campaign over (or use --experiment with axes)",
     )
-    campaign_run.add_argument(
-        "--experiment", default=None, metavar="NAME",
-        help="experiment to sweep when axis options are given (default: table2)",
-    )
-    campaign_run.add_argument(
-        "--sizes", type=_csv_ints, default=None, metavar="N,N,...",
-        help="mesh sizes to sweep, e.g. 2,3,4",
-    )
-    campaign_run.add_argument(
-        "--packet-flits", type=_csv_ints, default=None, metavar="N,N,...",
-        help="maximum packet sizes to sweep, e.g. 1,4,8",
-    )
-    campaign_run.add_argument(
-        "--fault-rates", type=_csv_floats, default=None, metavar="R,R,...",
-        help="per-link fault rates to sweep (reliability_sweep)",
-    )
-    campaign_run.add_argument(
-        "--trials", type=int, default=None, metavar="N",
-        help="Monte-Carlo trials per design point (reliability_sweep)",
-    )
-    campaign_run.add_argument(
-        "--quick", action="store_true",
-        help="apply each experiment's quick parameters",
-    )
+    _add_grid_options(campaign_run)
     campaign_run.add_argument(
         "--name", default="campaign", metavar="TEXT",
         help="campaign name folded into the campaign ID (default: campaign)",
@@ -480,16 +375,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--holdout", type=int, default=1, metavar="N",
         help="held-out shards blind-validated before unblinding (default: 1)",
     )
-    campaign_run.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per shard (default: 1)",
-    )
+    _add_jobs_option(campaign_run)
     campaign_run.add_argument(
         "--fresh", action="store_true",
         help="ignore existing checkpoints and recompute every shard",
     )
-    _add_backend_option(campaign_run)
-    _add_analysis_option(campaign_run)
+    _add_design_options(campaign_run)
     _add_store_option(campaign_run)
     campaign_run.add_argument(
         "--json", default=None, metavar="PATH",
@@ -502,10 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_resume.add_argument(
         "id", metavar="ID", help="campaign ID printed by 'campaign run'"
     )
-    campaign_resume.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per shard (default: 1)",
-    )
+    _add_jobs_option(campaign_resume)
     _add_store_option(campaign_resume)
     campaign_resume.add_argument(
         "--json", default=None, metavar="PATH",
@@ -570,8 +458,65 @@ def _print_report(result: BatchResult) -> None:
     print(f"\n[{result.job.experiment} completed in {source}]\n")
 
 
-def _resolve_names(names: Sequence[str]) -> Optional[List[str]]:
-    """Validate experiment names, printing near-miss errors; None on failure."""
+def _report_grid(results: Sequence[BatchResult], args: argparse.Namespace) -> int:
+    """Report the results of a grid command; returns its exit status.
+
+    Failed design points go to stderr and make the status 1; the completed
+    ones form the table (unless an export owns stdout) and the exports.
+    """
+    completed = [result for result in results if result.ok]
+    for result in results:
+        if not result.ok:
+            print(
+                f"{result.job.experiment} [{result.config_hash}] failed: "
+                f"{result.error}",
+                file=sys.stderr,
+            )
+    if not _exports_use_stdout(args):
+        print(
+            format_table(
+                [
+                    {
+                        "experiment": result.job.experiment,
+                        "params": ", ".join(
+                            f"{k}={v}" for k, v in sorted(result.job.params.items())
+                        ),
+                        "config hash": result.config_hash,
+                        "cached": result.cached,
+                        "rows": len(result.result.rows()),
+                        "seconds": round(result.duration_seconds, 2),
+                    }
+                    for result in completed
+                ]
+            )
+        )
+    _write_exports(completed, args)
+    return 0 if len(completed) == len(results) else 1
+
+
+def _wire_result(data: Mapping[str, Any], job: Optional[BatchJob] = None) -> BatchResult:
+    """Rebuild a daemon wire dict (the ``BatchResult.to_dict`` shape)."""
+    return BatchResult(
+        job=job if job is not None else BatchJob(experiment=str(data.get("experiment", ""))),
+        result=ExperimentResult.from_dict(data),
+        config_hash=str(data.get("config_hash", "")),
+        cached=bool(data.get("cached", False)),
+        duration_seconds=float(data.get("duration_seconds", 0.0)),
+        error=data.get("error"),
+    )
+
+
+# ----------------------------------------------------------------------
+# Jobs
+# ----------------------------------------------------------------------
+_AXIS_OPTIONS = "(--sizes, --packet-flits, --fault-rates and/or --trials)"
+
+
+def _named_jobs(names: Sequence[str], args: argparse.Namespace) -> Optional[List[BatchJob]]:
+    """One job per experiment NAME (default: every experiment).
+
+    Unknown names print near-miss errors and return None.
+    """
     resolved = list(names) if names else [spec.name for spec in list_experiments()]
     failed = False
     for name in resolved:
@@ -583,39 +528,74 @@ def _resolve_names(names: Sequence[str]) -> Optional[List[str]]:
     if failed:
         print("use 'repro-experiments list' to see the available experiments", file=sys.stderr)
         return None
-    return resolved
+    return [
+        BatchJob(experiment=name, params=_cli_params(name, args), quick=args.quick)
+        for name in resolved
+    ]
 
 
-# ----------------------------------------------------------------------
-# Subcommands
-# ----------------------------------------------------------------------
-def _make_engine(args: argparse.Namespace) -> Optional[BatchEngine]:
+def _grid_jobs(args: argparse.Namespace) -> Optional[List[BatchJob]]:
+    """The jobs of ``sweep``, ``submit`` and ``campaign run``.
+
+    Experiment NAMEs give one job each; otherwise ``--experiment`` (default:
+    table2) is expanded over the axis options by
+    :func:`~repro.api.engine.axis_jobs`.  Usage errors print to stderr and
+    return None.
+    """
+    axes: Dict[str, List[Any]] = {
+        axis: values
+        for axis, values in (
+            ("size", args.sizes),
+            ("packet_flits", args.packet_flits),
+            ("fault_rate", args.fault_rates),
+            ("trials", None if args.trials is None else [args.trials]),
+        )
+        if values
+    }
+    if not axes and args.experiments is not None:
+        if args.experiment is not None:
+            print(
+                f"--experiment needs at least one sweep axis {_AXIS_OPTIONS}",
+                file=sys.stderr,
+            )
+            return None
+        return _named_jobs(args.experiments, args)
+    if args.experiments:
+        print(
+            f"{args.command} takes either experiment NAMEs or sweep axes, not both",
+            file=sys.stderr,
+        )
+        return None
+    name = args.experiment or "table2"
     try:
-        return BatchEngine(
-            jobs=args.jobs, cache_dir=args.cache_dir, use_cache=not args.no_cache
+        get_experiment(name)
+    except UnknownExperimentError as error:
+        print(str(error), file=sys.stderr)
+        return None
+    if not axes:
+        print(f"sweep needs at least one axis {_AXIS_OPTIONS}", file=sys.stderr)
+        return None
+    try:
+        return axis_jobs(
+            name, quick=args.quick, base_params=_cli_params(name, args), **axes
         )
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return None
 
 
+# ----------------------------------------------------------------------
+# Subcommands
+# ----------------------------------------------------------------------
+def _make_engine(args: argparse.Namespace) -> BatchEngine:
+    return BatchEngine(jobs=args.jobs, cache_dir=args.cache_dir, use_cache=not args.no_cache)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    names = _resolve_names(args.experiments)
-    if names is None:
+    jobs = _named_jobs(args.experiments, args)
+    if jobs is None:
         return 2
-    engine = _make_engine(args)
-    if engine is None:
-        return 2
-    results = engine.run_many(
-        [
-            BatchJob(
-                experiment=name,
-                params=_cli_params(name, args),
-                quick=args.quick,
-            )
-            for name in names
-        ]
-    )
+    results = _make_engine(args).run_many(jobs)
     if not _exports_use_stdout(args):
         for result in results:
             _print_report(result)
@@ -626,8 +606,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_list(args: argparse.Namespace) -> int:
     specs = list_experiments()
     if args.json:
-        import json
-
         print(
             json.dumps(
                 [
@@ -649,60 +627,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        get_experiment(args.experiment)
-    except UnknownExperimentError as error:
-        print(str(error), file=sys.stderr)
+    jobs = _grid_jobs(args)
+    if jobs is None:
         return 2
-    axes: Dict[str, List[Any]] = {}
-    if args.sizes:
-        axes["size"] = args.sizes
-    if args.packet_flits:
-        axes["packet_flits"] = args.packet_flits
-    if args.fault_rates:
-        axes["fault_rate"] = args.fault_rates
-    if args.trials is not None:
-        axes["trials"] = [args.trials]
-    if not axes:
-        print(
-            "sweep needs at least one axis "
-            "(--sizes, --packet-flits, --fault-rates and/or --trials)",
-            file=sys.stderr,
-        )
-        return 2
-    engine = _make_engine(args)
-    if engine is None:
-        return 2
-    try:
-        results = engine.sweep(
-            args.experiment,
-            quick=args.quick,
-            base_params=_cli_params(args.experiment, args),
-            **axes,
-        )
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    if not _exports_use_stdout(args):
-        print(
-            format_table(
-                [
-                    {
-                        "experiment": result.job.experiment,
-                        "params": ", ".join(
-                            f"{k}={v}" for k, v in sorted(result.job.params.items())
-                        ),
-                        "config hash": result.config_hash,
-                        "cached": result.cached,
-                        "rows": len(result.result.rows()),
-                        "seconds": round(result.duration_seconds, 2),
-                    }
-                    for result in results
-                ]
-            )
-        )
-    _write_exports(results, args)
-    return 0
+    return _report_grid(_make_engine(args).run_many(jobs), args)
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -765,84 +693,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_submit_jobs(args: argparse.Namespace) -> Optional[List[BatchJob]]:
-    """The jobs of one ``submit`` invocation (names or a sweep grid)."""
-    axes: Dict[str, List[Any]] = {}
-    if args.sizes:
-        axes["size"] = args.sizes
-    if args.packet_flits:
-        axes["packet_flits"] = args.packet_flits
-    if args.fault_rates:
-        axes["fault_rate"] = args.fault_rates
-    if args.trials is not None:
-        axes["trials"] = [args.trials]
-    if axes:
-        if args.experiments:
-            print(
-                "submit takes either experiment NAMEs or sweep axes, not both",
-                file=sys.stderr,
-            )
-            return None
-        name = args.experiment or "table2"
-        try:
-            spec = get_experiment(name)
-        except UnknownExperimentError as error:
-            print(str(error), file=sys.stderr)
-            return None
-        base = _cli_params(name, args)
-        names = list(axes)
-        jobs: List[BatchJob] = []
-        try:
-            for combo in itertools.product(*(axes[n] for n in names)):
-                params = dict(base)
-                params.update(spec.params_for_axes(**dict(zip(names, combo))))
-                jobs.append(BatchJob(experiment=name, params=params, quick=args.quick))
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return None
-        return jobs
-    if args.experiment is not None:
-        print(
-            "--experiment needs at least one sweep axis "
-            "(--sizes, --packet-flits, --fault-rates and/or --trials)",
-            file=sys.stderr,
-        )
-        return None
-    resolved = _resolve_names(args.experiments)
-    if resolved is None:
-        return None
-    return [
-        BatchJob(experiment=name, params=_cli_params(name, args), quick=args.quick)
-        for name in resolved
-    ]
-
-
-def _wire_batch_results(
-    jobs: Sequence[BatchJob],
-    tickets: Sequence[Dict[str, Any]],
-    result_dicts: Sequence[Optional[Dict[str, Any]]],
-) -> List[BatchResult]:
-    """Rebuild BatchResults from a submit response (for _write_exports)."""
-    results: List[BatchResult] = []
-    for job, ticket, data in zip(jobs, tickets, result_dicts):
-        if data is None:
-            continue
-        results.append(
-            BatchResult(
-                job=job,
-                result=ExperimentResult.from_dict(data),
-                config_hash=data.get("config_hash", ticket["hash"]),
-                cached=bool(data.get("cached", False)),
-                duration_seconds=float(data.get("duration_seconds", 0.0)),
-            )
-        )
-    return results
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
     from ..service import ServiceError
 
-    jobs = _build_submit_jobs(args)
+    jobs = _grid_jobs(args)
     if jobs is None:
         return 2
     client = _make_client(args)
@@ -884,34 +738,12 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 0
-    failed = [t for t in tickets if t["state"] == "failed"]
-    for ticket in failed:
-        print(
-            f"{ticket['experiment']} [{ticket['hash']}] failed: "
-            f"{ticket.get('error', 'unknown error')}",
-            file=sys.stderr,
-        )
-    results = _wire_batch_results(jobs, tickets, response["results"])
-    if not _exports_use_stdout(args):
-        print(
-            format_table(
-                [
-                    {
-                        "experiment": result.job.experiment,
-                        "params": ", ".join(
-                            f"{k}={v}" for k, v in sorted(result.job.params.items())
-                        ),
-                        "config hash": result.config_hash,
-                        "cached": result.cached,
-                        "rows": len(result.result.rows()),
-                        "seconds": round(result.duration_seconds, 2),
-                    }
-                    for result in results
-                ]
-            )
-        )
-    _write_exports(results, args)
-    return 1 if failed else 0
+    results = []
+    for job, ticket, data in zip(jobs, tickets, response["results"]):
+        if data is None:  # a failed design point: its ticket carries the error
+            data = {"config_hash": ticket["hash"], "error": ticket.get("error", "unknown error")}
+        results.append(_wire_result(data, job))
+    return _report_grid(results, args)
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
@@ -952,16 +784,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         return 1
     for digest in fetched["missing"]:
         print(f"missing: {digest}", file=sys.stderr)
-    results = [
-        BatchResult(
-            job=BatchJob(experiment=str(data.get("experiment", ""))),
-            result=ExperimentResult.from_dict(data),
-            config_hash=str(data.get("config_hash", "")),
-            cached=True,
-            duration_seconds=float(data.get("duration_seconds", 0.0)),
-        )
-        for data in fetched["results"]
-    ]
+    results = [_wire_result(data) for data in fetched["results"]]
     if not results:
         print("no results fetched", file=sys.stderr)
         return 1 if fetched["missing"] else 0
@@ -1057,7 +880,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
 
     if args.action == "run":
-        jobs = _build_submit_jobs(args)
+        jobs = _grid_jobs(args)
         if jobs is None:
             return 2
         try:
@@ -1092,9 +915,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(_normalise_argv(argv))
+    args = _build_parser().parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        print("jobs must be >= 1", file=sys.stderr)
+        return 2
     handlers: Dict[str, Callable[[argparse.Namespace], int]] = {
         "run": _cmd_run,
         "list": _cmd_list,

@@ -17,10 +17,8 @@ serialized :class:`~repro.api.results.ExperimentResult`::
 Writes are atomic (unique temp file + ``os.replace``), so concurrent
 writers -- multiple daemons, batch-engine worker pools, parallel CI jobs --
 can share one store without torn reads: a reader either sees a complete
-entry or none at all.  Unreadable or truncated files are treated as absent
-rather than fatal.  Pre-store cache files written by older releases (the
-bare ``ExperimentResult.to_dict()`` form of ``BatchEngine(cache_dir=...)``)
-are still readable.
+entry or none at all.  Unreadable, truncated or foreign files are treated
+as absent rather than fatal.
 
 The default location is ``~/.cache/repro`` (see :func:`default_store_dir`),
 overridable with the ``REPRO_STORE_DIR`` environment variable; the CLI's
@@ -100,7 +98,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     def get(self, digest: str) -> Optional[ExperimentResult]:
         """The stored result for ``digest``, or None (never raises on torn
-        or legacy files -- they read as absent / rows-only respectively)."""
+        or foreign files -- they read as absent)."""
         envelope = self._read(digest)
         if envelope is None:
             self.misses += 1
@@ -277,7 +275,7 @@ class ResultStore:
         return os.path.join(self.root, f"{_check_digest(digest)}{_SUFFIX}")
 
     def _read(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The parsed envelope for ``digest`` (legacy files are wrapped)."""
+        """The parsed envelope for ``digest``, or None for anything else."""
         path = self._path(digest)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -292,7 +290,4 @@ class ResultStore:
                 "meta": meta if isinstance(meta, dict) else {},
                 "result": data["result"] if isinstance(data["result"], dict) else {},
             }
-        if "experiment" in data and "rows" in data:
-            # Bare pre-service cache file (BatchEngine cache_dir format).
-            return {"meta": {"config_hash": digest, "legacy": True}, "result": data}
         return None

@@ -1,8 +1,8 @@
 """The canonical 2D mesh topology (the paper's baseline).
 
-:class:`Mesh2D` is the topology-object form of the seed's
-:class:`~repro.geometry.Mesh` + ``xy_route`` pair: a rectangular grid with
-no wrap-around links and dimension-ordered routing.  With the default XY
+:class:`Mesh2D` is the topology-object form of a plain
+:class:`~repro.geometry.Mesh` with XY routing: a rectangular grid with no
+wrap-around links and dimension-ordered routing.  With the default XY
 strategy its routes, legal-turn tables, WCTT bounds and simulation results
 are identical to the original hard-coded implementation (the equivalence is
 locked down by ``tests/test_topology.py``).

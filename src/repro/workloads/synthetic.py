@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from ..geometry import Coord, Mesh
 from ..noc.flit import Message
 from ..noc.network import Network
-from ..routing import xy_route
+from ..topology import as_topology
 
 __all__ = ["UniformRandomTraffic", "HotspotTraffic", "AdversarialCongestionTraffic"]
 
@@ -136,9 +136,10 @@ class AdversarialCongestionTraffic:
     # ------------------------------------------------------------------
     def interfering_sources(self) -> List[Coord]:
         """Nodes whose route to the destination overlaps the victim's route."""
+        topology = as_topology(self.mesh)
         victim_links = {
             (hop.router, hop.out_port)
-            for hop in xy_route(self.mesh, self.victim_source, self.victim_destination)
+            for hop in topology.route(self.victim_source, self.victim_destination)
         }
         allowed = (
             None if self.background_sources is None else set(self.background_sources)
@@ -151,7 +152,7 @@ class AdversarialCongestionTraffic:
                 continue
             links = {
                 (hop.router, hop.out_port)
-                for hop in xy_route(self.mesh, node, self.victim_destination)
+                for hop in topology.route(node, self.victim_destination)
             }
             if links & victim_links:
                 sources.append(node)

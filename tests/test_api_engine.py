@@ -10,7 +10,7 @@ import os
 import pytest
 
 from repro.api import BatchEngine, BatchJob, config_hash
-from repro.experiments.runner import main, run_experiment
+from repro.experiments.runner import main
 
 
 class TestConfigHash:
@@ -164,9 +164,12 @@ class TestCLI:
     def test_export_empty_cache_fails(self, tmp_path, capsys):
         assert main(["export", "--cache-dir", str(tmp_path / "empty")]) == 1
 
-    def test_legacy_list_flag(self, capsys):
-        assert main(["--list"]) == 0
-        assert "table2" in capsys.readouterr().out
+    @pytest.mark.parametrize("argv", [[], ["table2"], ["--list"], ["table1", "--quick"]])
+    def test_argv_without_subcommand_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage: repro-experiments" in capsys.readouterr().err
 
     def test_list_flag_does_not_hijack_subcommands(self, capsys):
         # 'run ... --list' must not be rewritten to a bare 'list'.
@@ -174,9 +177,19 @@ class TestCLI:
             main(["run", "table1", "--list"])
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_jobs_must_be_positive(self, capsys):
-        assert main(["run", "table1", "--jobs", "0"]) == 2
-        assert "jobs" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "table1"],
+            ["sweep", "--sizes", "2"],
+            ["campaign", "run", "table1"],
+            ["campaign", "resume", "feedfacefeedface"],
+        ],
+    )
+    def test_jobs_must_be_positive(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))  # the campaign store
+        assert main(argv + ["--jobs", "0"]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
     def test_cache_hit_rows_keep_their_shape(self, tmp_path):
         # Disk-cache hits rebuild payloads as row dicts; rows() is the
@@ -187,17 +200,17 @@ class TestCLI:
         assert fresh.result.rows() == hit.result.rows()
         assert hit.result.rows()[0]["regular max"] == fresh.result[0].regular.maximum
 
-    def test_legacy_positional_names(self, capsys):
-        assert main(["table1", "--quick"]) == 0
-        assert "Table I" in capsys.readouterr().out
-
-    def test_legacy_unknown_name_exit_code(self):
-        assert main(["bogus"]) == 2
-
-    def test_run_experiment_helper(self):
-        assert "Table I" in run_experiment("table1", quick=True)
-        with pytest.raises(KeyError):
-            run_experiment("table42")
+    def test_sweep_reports_failed_points(self, capsys):
+        # A fault rate above 1 fails inside the worker: the sweep must say
+        # so and exit 1, as run and submit do, not print a zero-row table.
+        argv = [
+            "sweep", "--experiment", "reliability_sweep", "--fault-rates", "1.5",
+            "--trials", "1", "--quick", "--no-cache",
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "reliability_sweep [" in captured.err and "] failed: " in captured.err
+        assert captured.out.strip() == "(no rows)"
 
 
 class TestDiskHitPromotion:

@@ -29,7 +29,7 @@ from repro.campaign import (
     shard_id_for,
 )
 from repro.experiments.runner import main
-from repro.service import ResultStore
+from repro.service import ResultStore, ServiceClient, start_service_thread
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "golden", "campaign", "report.json"
@@ -166,6 +166,25 @@ class TestCampaignRun:
         c = Campaign(grid_jobs(), name="other", shard_size=2, holdout=1, store=store)
         assert a.campaign_id == b.campaign_id
         assert a.campaign_id != c.campaign_id
+
+
+    def test_daemon_execution_records_store_hits_as_cached(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        # The engine-run campaign fills the store the daemon then serves.
+        via_engine = Campaign(grid_jobs(), name="t", shard_size=2, store=store).run()
+        handle = start_service_thread(port=0, store_dir=store.root)
+        try:
+            campaign = Campaign(
+                grid_jobs(), name="t", shard_size=2, store=store,
+                client=ServiceClient(port=handle.port),
+            )
+            via_daemon = campaign.run(resume=False)
+        finally:
+            handle.stop()
+        assert [shard["executor"] for shard in via_daemon.shards] == ["service"] * 2
+        jobs = [job for shard in via_daemon.shards for job in shard["jobs"]]
+        assert len(jobs) == 4 and all(job["cached"] for job in jobs)
+        assert via_daemon.result_set() == via_engine.result_set()
 
 
 class TestResume:

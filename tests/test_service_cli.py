@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from repro.api import BatchEngine
 from repro.experiments.runner import main
 from repro.service import ServiceClient, start_service_thread
 
@@ -117,6 +118,33 @@ class TestSubmitCommand:
         args = ["submit", "table1", "--quick", "--port", str(free_port), "--timeout", "5"]
         assert main(args) == 1
         assert "is the daemon running" in capsys.readouterr().err
+
+
+class TestGridExpansion:
+    def test_grid_commands_expand_jobs_identically(self, daemon, tmp_path, capsys):
+        grid = ["--experiment", "table2", "--sizes", "2,3", "--quick"]
+        expected = [
+            result.config_hash
+            for result in BatchEngine(use_cache=False).sweep("table2", quick=True, size=(2, 3))
+        ]
+
+        assert main(["sweep", *grid, "--no-cache", "--json", "-"]) == 0
+        swept = [entry["config_hash"] for entry in json.loads(capsys.readouterr().out)]
+
+        assert main(["submit", *grid, "--no-wait", *_port_args(daemon)]) == 0
+        ticket_rows = capsys.readouterr().out.splitlines()[2:]  # below the header
+        submitted = [row.split()[0] for row in ticket_rows]
+
+        argv = [
+            "campaign", "run", *grid, "--shard-size", "1",
+            "--store-dir", str(tmp_path / "campaign"), "--json", "-",
+        ]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        campaigned = [job["config_hash"] for shard in report["shards"] for job in shard["jobs"]]
+
+        assert len(expected) == 2
+        assert swept == submitted == campaigned == expected
 
 
 class TestStatusAndFetch:

@@ -1,8 +1,9 @@
 """Tests of the durable content-addressed result store (repro.service.store).
 
 Covers the service-era cache guarantees: atomic concurrent writes (no torn
-reads), restart durability, legacy cache-file compatibility, eviction, and
-the version-aware cache keys the store shares with the batch engine.
+reads), restart durability, foreign and corrupt files reading as absent,
+eviction, and the version-aware cache keys the store shares with the batch
+engine.
 """
 
 from __future__ import annotations
@@ -80,25 +81,18 @@ class TestRoundTrip:
         with pytest.raises(StoreError):
             store.get("UPPER")
 
-    def test_legacy_bare_cache_file_readable(self, tmp_path):
-        # Pre-service BatchEngine(cache_dir=...) files are bare to_dict()s.
-        legacy = make_result("table2").to_dict()
-        (tmp_path / f"{DIGEST}.json").write_text(json.dumps(legacy))
-        store = ResultStore(str(tmp_path))
-        loaded = store.get(DIGEST)
-        assert loaded is not None
-        assert loaded.experiment == "table2"
-        assert store.entry_meta(DIGEST)["legacy"] is True
-
     def test_corrupt_files_read_as_absent(self, tmp_path):
         (tmp_path / "deadbeefdeadbeef.json").write_text("{ torn wri")
         (tmp_path / "feedfacefeedface.json").write_text('["not", "a", "dict"]')
+        # A bare to_dict() without the store envelope is a foreign file too.
+        (tmp_path / f"{DIGEST}.json").write_text(json.dumps(make_result().to_dict()))
         store = ResultStore(str(tmp_path))
         assert store.get("deadbeefdeadbeef") is None
         assert store.get("feedfacefeedface") is None
+        assert store.get(DIGEST) is None
         assert store.keys() == []
         # clear() still removes the unreadable files.
-        assert store.clear() == 2
+        assert store.clear() == 3
         assert list(tmp_path.iterdir()) == []
 
 

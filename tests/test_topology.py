@@ -19,7 +19,6 @@ from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.core.weights import WeightTable
 from repro.geometry import Coord, Mesh, Port
 from repro.noc import Network
-from repro.routing import validate_route, xy_output_port, xy_route
 from repro.topology import (
     XY,
     YX,
@@ -30,6 +29,44 @@ from repro.topology import (
     as_topology,
     make_topology,
 )
+
+
+def xy_output_port(current, destination):
+    """The seed's mesh-XY decision function: the reference for ``Mesh2D``.
+
+    Returns ``Port.LOCAL`` when ``current == destination``.
+    """
+    if current.x < destination.x:
+        return Port.XPLUS
+    if current.x > destination.x:
+        return Port.XMINUS
+    if current.y < destination.y:
+        return Port.YPLUS
+    if current.y > destination.y:
+        return Port.YMINUS
+    return Port.LOCAL
+
+
+def validate_route(topology, hops):
+    """Validate that ``hops`` is a well-formed route of ``topology``.
+
+    Raises ``ValueError`` with a description of the first violation found.
+    """
+    if not hops:
+        raise ValueError("empty route")
+    if hops[0].in_port is not Port.LOCAL:
+        raise ValueError("route must start with a LOCAL injection")
+    if hops[-1].out_port is not Port.LOCAL:
+        raise ValueError("route must end with a LOCAL ejection")
+    for i, hop in enumerate(hops):
+        if hop.out_port not in topology.legal_outputs_for_input(hop.router, hop.in_port):
+            raise ValueError(f"illegal turn at hop {i}: {hop}")
+        if i + 1 < len(hops):
+            nxt = topology.downstream(hop.router, hop.out_port)
+            if nxt != hops[i + 1].router:
+                raise ValueError(f"hop {i} does not connect to hop {i + 1}")
+            if hops[i + 1].in_port is not hop.out_port:
+                raise ValueError(f"inconsistent port naming between hops {i} and {i + 1}")
 
 
 def _all_pairs(topology):
@@ -60,10 +97,10 @@ class TestMesh2DEquivalence:
             assert route[-1].router == dst
             assert len(route) == src.manhattan(dst) + 1
 
-    def test_xy_route_wrapper_is_identical_for_mesh_and_mesh2d(self):
+    def test_plain_mesh_routes_like_mesh2d(self):
         plain, topology = Mesh(4, 3), Mesh2D(4, 3)
         for src, dst in _all_pairs(topology):
-            assert xy_route(plain, src, dst) == topology.route(src, dst)
+            assert as_topology(plain).route(src, dst) == topology.route(src, dst)
 
     def test_legal_turn_tables_match_the_seed(self):
         plain, topology = Mesh(3, 3), Mesh2D(3, 3)
