@@ -5,9 +5,13 @@ alone against the memory controller of the 8x8 mesh -- is the regime the
 event-driven backend was built for: long compute gaps between NoC round
 trips that the cycle-accurate reference walks one cycle at a time.  This
 benchmark runs the full suite under both backends, asserts the makespans
-are bit-identical, requires the event-driven backend to be at least 3x
-faster and records the wall-clock trajectory in ``BENCH_sim.json`` at the
-repository root.
+are bit-identical and records the wall-clock trajectory in
+``BENCH_sim.json`` at the repository root.
+
+The event backend's savings are guarded by work counts, not by a
+wall-clock ratio: ``tests/test_work_counters.py`` pins the cycles, system
+steps, router steps and forwarded flits of this exact workload, and those
+pins fail when event jumps are disabled or when idle routers are stepped.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ BENCH_JSON = os.path.join(os.path.dirname(__file__), "..", "BENCH_sim.json")
 #: scale-invariant.
 PROFILE_SCALE = 0.005
 MESH_SIZE = 8
-REQUIRED_SPEEDUP = 3.0
 
 
 def _run_suite(backend: str) -> "tuple[dict, float]":
@@ -80,11 +83,6 @@ def bench_event_driven_vs_cycle_accurate(benchmark):
         handle.write("\n")
 
     benchmark.extra_info.update(record)
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"event-driven backend is only {speedup:.2f}x faster than the "
-        f"cycle-accurate reference (required: >= {REQUIRED_SPEEDUP}x); "
-        "see BENCH_sim.json"
-    )
 
 
 def bench_event_driven_drain_throughput(benchmark):

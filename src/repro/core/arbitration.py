@@ -22,7 +22,7 @@ The WaW arbiter implements the scheme described verbatim in the paper
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..geometry import Port
 
@@ -30,21 +30,45 @@ __all__ = ["Arbiter", "RoundRobinArbiter", "WeightedRoundRobinArbiter"]
 
 
 class Arbiter:
-    """Interface of a single output-port arbiter."""
+    """Interface of a single output-port arbiter.
+
+    The router drives an arbiter through :meth:`pick`, by *position* in
+    ``candidates``, and the per-cycle state (the round-robin pointer, the
+    WaW flit counters) is indexed by position, so arbitration never hashes
+    a :class:`Port`.  The ``Port``-level methods (:meth:`grant`, and the
+    WaW ``credit_of``/``weights``) translate at the boundary.
+    """
 
     def __init__(self, candidates: Sequence[Port]):
         if not candidates:
             raise ValueError("an arbiter needs at least one candidate input port")
         if len(set(candidates)) != len(candidates):
             raise ValueError("duplicate candidate input ports")
-        self.candidates: List[Port] = list(candidates)
+        self.candidates: Tuple[Port, ...] = tuple(candidates)
+        #: Round-robin pointer: the position in ``candidates`` with the
+        #: highest priority (WaW uses it to break ties between equal counters).
+        self._next_priority = 0
 
     def grant(self, requesters: Iterable[Port]) -> Optional[Port]:
         """Select one of ``requesters`` (must be candidates); ``None`` if empty.
 
         Calling ``grant`` advances the arbiter state exactly as one
-        arbitration cycle of the hardware would.
+        arbitration cycle of the hardware would; an empty request set is an
+        idle cycle.
         """
+        reqs = list(requesters)
+        unknown = [r for r in reqs if r not in self.candidates]
+        if unknown:
+            raise ValueError(f"unknown requester port(s): {unknown}")
+        if not reqs:
+            self.idle_cycle()
+            return None
+        return self.candidates[self.pick(sorted(self.candidates.index(r) for r in reqs))]
+
+    def pick(self, positions: List[int]) -> int:
+        """Position-level :meth:`grant`: choose among the requesting
+        ``positions`` in ``candidates`` (ascending, non-empty), advance the
+        arbiter state and return the winner's position."""
         raise NotImplementedError
 
     def idle_cycle(self) -> None:
@@ -66,12 +90,17 @@ class Arbiter:
         # The base arbiter (round-robin) keeps no idle-cycle state.
         return None
 
-    def _check(self, requesters: Iterable[Port]) -> List[Port]:
-        reqs = list(requesters)
-        unknown = [r for r in reqs if r not in self.candidates]
-        if unknown:
-            raise ValueError(f"unknown requester port(s): {unknown}")
-        return reqs
+    def _rotate(self, positions: List[int]) -> int:
+        """Round-robin choice: the first of ``positions`` (ascending) at or
+        after the pointer, wrapping around; the winner gets the lowest
+        priority next time."""
+        winner = positions[0]
+        for position in positions:
+            if position >= self._next_priority:
+                winner = position
+                break
+        self._next_priority = (winner + 1) % len(self.candidates)
+        return winner
 
 
 class RoundRobinArbiter(Arbiter):
@@ -83,24 +112,8 @@ class RoundRobinArbiter(Arbiter):
     property the regular-mesh WCTT analysis relies on.
     """
 
-    def __init__(self, candidates: Sequence[Port]):
-        super().__init__(candidates)
-        # Index into ``self.candidates`` of the port with the highest priority.
-        self._next_priority = 0
-
-    def grant(self, requesters: Iterable[Port]) -> Optional[Port]:
-        reqs = set(self._check(requesters))
-        if not reqs:
-            return None
-        n = len(self.candidates)
-        for offset in range(n):
-            idx = (self._next_priority + offset) % n
-            port = self.candidates[idx]
-            if port in reqs:
-                # The winner becomes the lowest-priority port next time.
-                self._next_priority = (idx + 1) % n
-                return port
-        return None  # pragma: no cover - unreachable, reqs is a subset of candidates
+    def pick(self, positions: List[int]) -> int:
+        return self._rotate(positions)
 
     def priority_order(self) -> List[Port]:
         """Current priority order, highest first (exposed for tests)."""
@@ -128,48 +141,51 @@ class WeightedRoundRobinArbiter(Arbiter):
         negative = {p: w for p, w in weights.items() if w < 0}
         if negative:
             raise ValueError(f"weights must be non-negative: {negative}")
-        self.weights: Dict[Port, int] = {p: int(weights[p]) for p in candidates}
-        #: Current flit credits; start a round with full credits.
-        self.credits: Dict[Port, int] = dict(self.weights)
-        #: Tie-break round-robin among equal-credit contenders.
-        self._tie_breaker = RoundRobinArbiter(candidates)
+        #: Weight of each candidate, by position.
+        self._weights: List[int] = [int(weights[p]) for p in self.candidates]
+        #: Current flit credits, by position; start a round with full credits.
+        self._credits: List[int] = list(self._weights)
+
+    @property
+    def weights(self) -> Dict[Port, int]:
+        """The weight of each candidate port."""
+        return dict(zip(self.candidates, self._weights))
 
     # ------------------------------------------------------------------
-    def grant(self, requesters: Iterable[Port]) -> Optional[Port]:
-        reqs = self._check(requesters)
-        if not reqs:
-            self.idle_cycle()
-            return None
-        if len(reqs) == 1:
+    def pick(self, positions: List[int]) -> int:
+        if len(positions) == 1:
             # "When an input port is the unique candidate to access an output
             # port, its flit count is unaltered."
-            return reqs[0]
+            return positions[0]
 
-        best_credit = max(self.credits[p] for p in reqs)
-        tied = [p for p in reqs if self.credits[p] == best_credit]
+        credits = self._credits
+        best_credit = max(credits[p] for p in positions)
+        tied = [p for p in positions if credits[p] == best_credit]
         if len(tied) == 1:
             winner = tied[0]
         else:
             # "If more than one contender has the largest flit count, a
             # conventional round robin policy is used to arbitrate."
-            winner = self._tie_breaker.grant(tied)
-        assert winner is not None
-        if self.credits[winner] > 0:
-            self.credits[winner] -= 1
+            winner = self._rotate(tied)
+        if credits[winner] > 0:
+            credits[winner] -= 1
         else:
             # Every contender is exhausted; serving one anyway keeps the
             # output busy (work conservation) and the subsequent refill on
             # idle cycles restores the guaranteed shares.
             self._refill_all()
-            if self.credits[winner] > 0:
-                self.credits[winner] -= 1
+            if credits[winner] > 0:
+                credits[winner] -= 1
         return winner
 
     def idle_cycle(self) -> None:
         """No requester this cycle: refill every counter up to its weight."""
-        for port in self.candidates:
-            if self.credits[port] < self.weights[port]:
-                self.credits[port] += 1
+        credits = self._credits
+        if credits == self._weights:
+            return
+        for position, weight in enumerate(self._weights):
+            if credits[position] < weight:
+                credits[position] += 1
 
     def idle_cycles(self, cycles: int) -> None:
         """Closed form of ``cycles`` consecutive :meth:`idle_cycle` calls.
@@ -181,25 +197,25 @@ class WeightedRoundRobinArbiter(Arbiter):
             raise ValueError("cycles must be >= 0")
         if cycles == 0:
             return
-        for port in self.candidates:
-            if self.credits[port] < self.weights[port]:
-                self.credits[port] = min(self.weights[port], self.credits[port] + cycles)
+        credits = self._credits
+        for position, weight in enumerate(self._weights):
+            if credits[position] < weight:
+                credits[position] = min(weight, credits[position] + cycles)
 
     # ------------------------------------------------------------------
     def _refill_all(self) -> None:
-        for port in self.candidates:
-            self.credits[port] = self.weights[port]
+        self._credits[:] = self._weights
 
     def credit_of(self, port: Port) -> int:
         """Current flit credit of ``port`` (exposed for tests/diagnostics)."""
-        return self.credits[port]
+        return self._credits[self.candidates.index(port)]
 
     def guaranteed_share(self, port: Port) -> float:
         """Long-run bandwidth fraction guaranteed to ``port`` under saturation."""
-        total = sum(self.weights.values())
+        total = sum(self._weights)
         if total == 0:
             return 1.0 / len(self.candidates)
-        return self.weights[port] / total
+        return self._weights[self.candidates.index(port)] / total
 
 
 def make_arbiter(

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
+from typing import List, Optional
 
 from .flit import Flit
 
@@ -20,45 +19,50 @@ class FlitBuffer:
     keep the hot loop simple.
     """
 
+    __slots__ = ("capacity", "name", "flits")
+
     def __init__(self, capacity: int, name: str = "buffer"):
         if capacity < 1:
             raise ValueError("buffer capacity must be >= 1")
         self.capacity = capacity
         self.name = name
-        self._fifo: Deque[Flit] = deque()
+        #: The buffered flits, head of line first.  A plain list: buffers
+        #: are a few flits deep, and the router's allocation loop reads and
+        #: pops it directly.
+        self.flits: List[Flit] = []
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._fifo)
+        return len(self.flits)
 
     @property
     def free_slots(self) -> int:
-        return self.capacity - len(self._fifo)
+        return self.capacity - len(self.flits)
 
     @property
     def is_full(self) -> bool:
-        return len(self._fifo) >= self.capacity
+        return len(self.flits) >= self.capacity
 
     @property
     def is_empty(self) -> bool:
-        return not self._fifo
+        return not self.flits
 
     # ------------------------------------------------------------------
     def push(self, flit: Flit) -> None:
         """Append a flit; raises if the upstream violated credit flow control."""
         if self.is_full:
             raise OverflowError(f"{self.name}: push into a full buffer (credit protocol violation)")
-        self._fifo.append(flit)
+        self.flits.append(flit)
 
     def peek(self) -> Optional[Flit]:
         """Head-of-line flit without removing it (``None`` when empty)."""
-        return self._fifo[0] if self._fifo else None
+        return self.flits[0] if self.flits else None
 
     def pop(self) -> Flit:
         """Remove and return the head-of-line flit."""
-        if not self._fifo:
+        if not self.flits:
             raise IndexError(f"{self.name}: pop from an empty buffer")
-        return self._fifo.popleft()
+        return self.flits.pop(0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FlitBuffer({self.name}, {len(self)}/{self.capacity})"

@@ -145,6 +145,11 @@ class Flit:
     #: lost flit is an erasure.  Either mark also sets ``packet.faulty``.
     corrupted: bool = False
     lost: bool = False
+    #: Lookahead route of a head flit: the port number (see
+    #: :data:`repro.noc.router.PORTS`) of the output it requests at the
+    #: router whose input buffer holds it, set when that router accepts it.
+    #: ``-1`` on body and tail flits, which follow their head's lock.
+    route: int = -1
 
     @property
     def is_head(self) -> bool:

@@ -6,10 +6,10 @@ wires them along the topology's links -- a 2D mesh reproduces the paper's
 system, but any :class:`~repro.topology.Topology` (torus, ring, concentrated
 mesh) wires and simulates the same way, with each router exposing exactly
 the ports its topology gives it.  Within a cycle every NIC and every router
-is evaluated against the *previous* end-of-cycle state and emits events
-(inject, forward, eject, credit); the events are applied once everybody has
-been evaluated, so simulation results do not depend on the order in which
-routers are visited.
+is evaluated against the *previous* end-of-cycle state of its neighbours
+and emits events (inject, forward, eject, credit); the events are applied
+once everybody has been evaluated, so simulation results do not depend on
+the order in which routers are visited.
 
 The network exposes a deliberately small API to the layers above it
 (:mod:`repro.manycore`, :mod:`repro.workloads`):
@@ -23,7 +23,7 @@ The network exposes a deliberately small API to the layers above it
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.config import NoCConfig
 from ..core.weights import WeightTable
@@ -31,10 +31,12 @@ from ..geometry import Coord, Port
 from ..sim import SimulationBackend, make_backend
 from .flit import Message
 from .nic import NIC
-from .router import Router
+from .router import PORT_INDEX, PORTS, Router
 from .stats import NetworkStats
 
 __all__ = ["Network"]
+
+_LOCAL = PORT_INDEX[Port.LOCAL]
 
 
 class Network:
@@ -76,6 +78,23 @@ class Network:
             coord: NIC(coord, config, reliability=reliability)
             for coord in self.topology.nodes()
         }
+        #: Wiring by port number (see :data:`repro.noc.router.PORTS`), built
+        #: once so that applying an event is a table lookup: for each router,
+        #: its NIC and the routers downstream of each output port and upstream
+        #: of each input port (``None`` where the port has no link).
+        self._links: Dict[
+            Router, Tuple[NIC, List[Optional[Router]], List[Optional[Router]]]
+        ] = {}
+        for coord, router in self.routers.items():
+            downstream, upstream = (
+                [self.routers.get(neighbour(coord, port)) for port in PORTS]
+                for neighbour in (self.topology.downstream, self.topology.upstream)
+            )
+            self._links[router] = (self.nics[coord], downstream, upstream)
+        #: The router each NIC injects into.
+        self._injects: Dict[NIC, Router] = {
+            self.nics[coord]: router for coord, router in self.routers.items()
+        }
 
         self.cycle = 0
         self.stats = NetworkStats()
@@ -94,10 +113,14 @@ class Network:
         #: NICs whose injection queue is non-empty, same superset invariant
         #: (inserted by the NICs' work listener on enqueue, pruned at the
         #: end of each cycle).  NICs keep no idle-cycle state, so leaving
-        #: the set needs no settling.
+        #: the set needs no settling.  The listener is the set's own
+        #: ``setdefault``, not a method of the network: nothing the network
+        #: owns refers back to it, and a NIC and the set refer to each other
+        #: only while the NIC has work, so reference counting frees a
+        #: drained network without waiting for the cycle collector.
         self._busy_nics: Dict[NIC, None] = {}
         for nic in self.nics.values():
-            nic.set_work_listener(self._note_busy_nic)
+            nic.set_work_listener(self._busy_nics.setdefault)
 
     # ------------------------------------------------------------------
     # Public API
@@ -171,10 +194,6 @@ class Network:
         self._apply_events(events, now)
         self._finish_cycle()
 
-    def _note_busy_nic(self, nic: NIC) -> None:
-        """NIC work listener: its injection queue just went non-empty."""
-        self._busy_nics[nic] = None
-
     def _finish_cycle(self) -> None:
         """Prune the busy sets (settling leaving routers) and advance time."""
         emptied = [router for router in self._busy_routers if not router.has_work()]
@@ -194,9 +213,13 @@ class Network:
             self.step()
 
     def is_idle(self) -> bool:
-        """True when no flit is buffered or queued anywhere in the network."""
-        return not any(r.has_work() for r in self.routers.values()) and not any(
-            n.has_work() for n in self.nics.values()
+        """True when no flit is buffered or queued anywhere in the network.
+
+        Every router and NIC with work is in its busy set (the sets'
+        superset invariant), so only the busy sets are asked.
+        """
+        return not any(r.has_work() for r in self._busy_routers) and not any(
+            n.has_work() for n in self._busy_nics
         )
 
     def run_until_idle(self, *, max_cycles: int = 1_000_000) -> int:
@@ -272,47 +295,51 @@ class Network:
     # ------------------------------------------------------------------
     def _apply_events(self, events: Iterable[tuple], now: int) -> None:
         timing = self.config.timing
+        head_delay = timing.routing_latency
+        body_delay = timing.flit_cycle
+        link_latency = timing.link_latency
         injector = self.fault_injector
+        links = self._links
+        busy_routers = self._busy_routers
         for event in events:
             tag = event[0]
             if tag == "forward":
                 _, router, out_port, flit = event
-                downstream = self.topology.downstream(router.coord, out_port)
-                if downstream is None:  # pragma: no cover - defensive
+                receiver = links[router][1][out_port]
+                if receiver is None:  # pragma: no cover - defensive
                     raise RuntimeError(
-                        f"flit forwarded off the topology at {router.coord} {out_port}"
+                        f"flit forwarded off the topology at {router.coord} {PORTS[out_port]}"
                     )
                 if injector is not None:
                     # Faults strike on router-to-router link traversals (the
                     # local NIC-router connection is reliable on-die wiring).
                     # Both backends funnel forwards through this one apply
                     # path, so fault decisions are backend-independent.
-                    injector.transmit(router.coord, out_port, flit)
-                delay = timing.link_latency + (
-                    timing.routing_latency if flit.is_head else timing.flit_cycle
-                )
-                receiver = self.routers[downstream]
-                receiver.accept_flit(out_port, flit, now + delay)
-                self._busy_routers[receiver] = None
+                    injector.transmit(router.coord, PORTS[out_port], flit)
+                delay = link_latency + (head_delay if flit.is_head else body_delay)
+                # Travel-direction naming: the flit enters on the input port
+                # with the number of the output it left through.
+                receiver._accept(out_port, flit, now + delay)
+                busy_routers[receiver] = None
             elif tag == "eject":
                 _, router, flit = event
-                self.nics[router.coord].receive_flit(flit, now + 1)
+                links[router][0].receive_flit(flit, now + 1)
                 self.stats.record_flit_hop(flit)
             elif tag == "credit":
                 _, router, in_port = event
-                if in_port is Port.LOCAL:
-                    self.nics[router.coord].return_injection_credit()
+                nic, _, upstream = links[router]
+                if in_port == _LOCAL:
+                    nic.return_injection_credit()
                 else:
-                    upstream = self.topology.upstream(router.coord, in_port)
-                    if upstream is None:  # pragma: no cover - defensive
+                    feeder = upstream[in_port]
+                    if feeder is None:  # pragma: no cover - defensive
                         raise RuntimeError(f"credit towards a missing neighbour at {router.coord}")
-                    self.routers[upstream].return_credit(in_port)
+                    feeder._return_credit(in_port)
             elif tag == "inject":
                 _, nic, flit = event
-                delay = timing.routing_latency if flit.is_head else timing.flit_cycle
-                receiver = self.routers[nic.coord]
-                receiver.accept_flit(Port.LOCAL, flit, now + delay)
-                self._busy_routers[receiver] = None
+                receiver = self._injects[nic]
+                receiver._accept(_LOCAL, flit, now + (head_delay if flit.is_head else body_delay))
+                busy_routers[receiver] = None
             else:  # pragma: no cover - defensive
                 raise RuntimeError(f"unknown event {tag!r}")
 

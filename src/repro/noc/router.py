@@ -24,30 +24,81 @@ buffer and their eligibility for allocation (``RouterTiming.routing_latency``),
 which reproduces the zero-load per-hop latency of a multi-stage router
 without simulating every stage.
 
+Routing is *lookahead*: a head flit's output port is computed once, when it
+enters an input buffer, and kept on the flit (:attr:`Flit.route`).  The
+per-cycle state lives in lists indexed by *port number*, the position of the
+port in :data:`PORTS`, so the hot loop never hashes a
+:class:`~repro.geometry.Port`; ``Port`` appears only at the API boundary.
+Each router position's ports and legal contenders are computed once per
+topology and shared.
+
 Routers never move flits directly; they emit *events* (forward, eject,
 credit return) that the :class:`~repro.noc.network.Network` applies at the
 end of the cycle, making the simulation independent of the order in which
-routers are evaluated within a cycle.
+routers are evaluated within a cycle.  Within one router, output ports are
+served in topology order against the router's live state: a tail flit
+forwarded through an earlier output releases its input, and the next head
+flit of that input may win a later output in the same cycle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.arbitration import Arbiter, make_arbiter
 from ..core.config import NoCConfig
 from ..core.weights import WeightTable
 from ..geometry import Coord, Port
+from ..topology import Topology
 from .buffer import FlitBuffer
-from .flit import Flit
+from .flit import Flit, FlitType
 
-__all__ = ["Router", "RouterEvent"]
+__all__ = ["PORTS", "PORT_INDEX", "Router", "RouterEvent"]
 
-#: Events a router emits during one cycle, applied by the network afterwards:
+#: Every router port, in port-number order: router state and event payloads
+#: refer to a port by its position in this tuple.
+PORTS: Tuple[Port, ...] = tuple(Port)
+#: Port number of each :class:`Port` (used at the ``Port`` API boundary).
+PORT_INDEX: Dict[Port, int] = {port: index for index, port in enumerate(PORTS)}
+_LOCAL = PORT_INDEX[Port.LOCAL]
+
+_HEADS = (FlitType.HEAD, FlitType.HEAD_TAIL)
+_TAILS = (FlitType.TAIL, FlitType.HEAD_TAIL)
+
+#: Events a router emits during one cycle, applied by the network afterwards
+#: (ports are port numbers, see :data:`PORTS`):
 #: ``("forward", router, out_port, flit)`` -- flit leaves through a directional output;
 #: ``("eject", router, flit)``             -- flit is delivered to the local NIC;
 #: ``("credit", router, in_port)``         -- one credit is returned upstream of ``in_port``.
 RouterEvent = Tuple
+
+
+class _Layout(NamedTuple):
+    """The ports of one router position, shared by every router built there."""
+
+    #: Port numbers of the existing input ports.
+    inputs: Tuple[int, ...]
+    #: Per existing output port, in topology order: its port number, its
+    #: legal contender input ports and their port numbers.
+    outputs: Tuple[Tuple[int, Tuple[Port, ...], Tuple[int, ...]], ...]
+    #: Lookahead routing memo: destination ``(x, y)`` -> output port number.
+    routes: Dict[Tuple[int, int], int]
+
+
+@lru_cache(maxsize=16)
+def _layouts(topology: Topology) -> Dict[Coord, _Layout]:
+    """Every router position's ports and legal contenders, built once per topology."""
+    layouts = {}
+    for coord in topology.nodes():
+        outputs = []
+        for port in topology.output_ports(coord):
+            contenders = topology.legal_inputs_for_output(coord, port)
+            numbers = tuple(PORT_INDEX[p] for p in contenders)
+            outputs.append((PORT_INDEX[port], contenders, numbers))
+        inputs = tuple(PORT_INDEX[p] for p in topology.input_ports(coord))
+        layouts[coord] = _Layout(inputs, tuple(outputs), {})
+    return layouts
 
 
 class Router:
@@ -64,54 +115,91 @@ class Router:
         self.mesh = config.mesh
         self.topology = config.topology
         self.timing = config.timing
+        layout = _layouts(self.topology)[coord]
+        self._routes = layout.routes
+        self._depth = config.buffer_depth
 
-        self.input_ports: List[Port] = list(self.topology.input_ports(coord))
-        self.output_ports: List[Port] = list(self.topology.output_ports(coord))
-
-        self.buffers: Dict[Port, FlitBuffer] = {
-            port: FlitBuffer(config.buffer_depth, name=f"{coord}:{port.value}")
-            for port in self.input_ports
-        }
-        #: Which output port the packet at the head of each input currently owns.
-        self.input_grant: Dict[Port, Optional[Port]] = {p: None for p in self.input_ports}
-        #: Which input port currently owns each output port (wormhole lock).
-        self.output_owner: Dict[Port, Optional[Port]] = {p: None for p in self.output_ports}
-        #: Credits available towards the downstream buffer of each directional output.
-        self.output_credits: Dict[Port, int] = {
-            port: config.buffer_depth for port in self.output_ports if port is not Port.LOCAL
-        }
-
-        self.arbiters: Dict[Port, Arbiter] = {}
-        for out_port in self.output_ports:
-            candidates = self.topology.legal_inputs_for_output(coord, out_port)
-            if not candidates:
-                continue
-            weights = (
-                weight_table.arbitration_weights(coord, out_port)
-                if (config.is_waw and weight_table is not None)
-                else None
-            )
-            self.arbiters[out_port] = make_arbiter(
-                candidates, weighted=config.is_waw, weights=weights
-            )
+        #: Input buffers by port number (``None`` where the input does not
+        #: exist), and their flit lists, which the allocation loop reads.
+        self._buffers: List[Optional[FlitBuffer]] = [None] * len(PORTS)
+        self._fifos: List[Optional[List[Flit]]] = [None] * len(PORTS)
+        for port in layout.inputs:
+            buffer = FlitBuffer(config.buffer_depth, name=f"{coord}:{PORTS[port].value}")
+            self._buffers[port] = buffer
+            self._fifos[port] = buffer.flits
+        #: Flits buffered over all inputs.
+        self._flits = 0
+        #: Which input port number owns each output port (wormhole lock).
+        self._owner: List[Optional[int]] = [None] * len(PORTS)
+        #: Credits towards the downstream buffer of each directional output.
+        self._credits: List[int] = [config.buffer_depth] * len(PORTS)
+        #: Per output port, in topology order: ``(port number, arbiter,
+        #: contender port numbers)``; the arbiter is ``None`` for an output
+        #: no input may legally request.
+        plan = []
+        for out, contenders, numbers in layout.outputs:
+            arbiter = None
+            if contenders:
+                weights = (
+                    weight_table.arbitration_weights(coord, PORTS[out])
+                    if (config.is_waw and weight_table is not None)
+                    else None
+                )
+                arbiter = make_arbiter(contenders, weighted=config.is_waw, weights=weights)
+            plan.append((out, arbiter, numbers))
+        self._plan: Tuple[Tuple[int, Optional[Arbiter], Tuple[int, ...]], ...] = tuple(plan)
 
         # Statistics / idle bookkeeping.
         self.forwarded_flits = 0
         self._was_idle = True
 
     # ------------------------------------------------------------------
+    # Port-level views (tests and diagnostics)
+    # ------------------------------------------------------------------
+    @property
+    def buffers(self) -> Dict[Port, FlitBuffer]:
+        """The buffer of each existing input port."""
+        return {PORTS[i]: buf for i, buf in enumerate(self._buffers) if buf is not None}
+
+    @property
+    def arbiters(self) -> Dict[Port, Arbiter]:
+        """The arbiter of each output port that some input may request."""
+        return {PORTS[out]: arbiter for out, arbiter, _ in self._plan if arbiter is not None}
+
+    @property
+    def output_owner(self) -> Dict[Port, Optional[Port]]:
+        """The input port holding each output port's wormhole lock (``None`` if free)."""
+        return {
+            PORTS[out]: None if self._owner[out] is None else PORTS[self._owner[out]]
+            for out, _, _ in self._plan
+        }
+
+    # ------------------------------------------------------------------
     # Buffer interface used by the network when applying events
     # ------------------------------------------------------------------
     def accept_flit(self, in_port: Port, flit: Flit, ready_cycle: int) -> None:
-        """Enqueue an incoming flit on ``in_port`` (called by the network)."""
+        """Enqueue an incoming flit on ``in_port``."""
+        self._accept(PORT_INDEX[in_port], flit, ready_cycle)
+
+    def _accept(self, port: int, flit: Flit, ready_cycle: int) -> None:
+        """Enqueue ``flit`` on input port number ``port``; route it if it is a head."""
         flit.ready_cycle = ready_cycle
-        self.buffers[in_port].push(flit)
+        if flit.flit_type in _HEADS:
+            destination = flit.packet.message.destination
+            key = (destination.x, destination.y)
+            route = self._routes.get(key)
+            if route is None:
+                route = PORT_INDEX[self.topology.output_port(self.coord, destination)]
+                self._routes[key] = route
+            flit.route = route
+        self._buffers[port].push(flit)
+        self._flits += 1
 
     def buffered_flits(self) -> int:
-        return sum(len(buf) for buf in self.buffers.values())
+        return self._flits
 
     def has_work(self) -> bool:
-        return any(len(buf) for buf in self.buffers.values())
+        return self._flits > 0
 
     # ------------------------------------------------------------------
     # Activity introspection / bulk idle (event-driven backend support)
@@ -125,10 +213,11 @@ class Router:
         been reached.
         """
         best: Optional[int] = None
-        for buffer in self.buffers.values():
-            flit = buffer.peek()
-            if flit is not None and (best is None or flit.ready_cycle < best):
-                best = flit.ready_cycle
+        for fifo in self._fifos:
+            if fifo:
+                ready = fifo[0].ready_cycle
+                if best is None or ready < best:
+                    best = ready
         return best
 
     def skip_cycles(self, cycles: int) -> None:
@@ -144,12 +233,12 @@ class Router:
         """
         if cycles <= 0:
             return
-        if not self.has_work():
+        if not self._flits:
             self._settle_idle()
             return
         self._was_idle = False
-        for out_port, arbiter in self.arbiters.items():
-            if self.output_owner[out_port] is None:
+        for out, arbiter, _ in self._plan:
+            if arbiter is not None and self._owner[out] is None:
                 arbiter.idle_cycles(cycles)
 
     def _settle_idle(self) -> None:
@@ -161,97 +250,90 @@ class Router:
         """
         if self._was_idle:
             return
-        for arbiter in self.arbiters.values():
-            arbiter.idle_cycles(self.config.buffer_depth)
+        for _, arbiter, _ in self._plan:
+            if arbiter is not None:
+                arbiter.idle_cycles(self._depth)
         self._was_idle = True
 
     # ------------------------------------------------------------------
     # One simulation cycle
     # ------------------------------------------------------------------
     def step(self, now: int, events: List[RouterEvent]) -> None:
-        """Evaluate one cycle, appending the resulting events to ``events``."""
-        if not self.has_work():
+        """Evaluate one cycle, appending the resulting events to ``events``.
+
+        Output ports are served in topology order.  A free output polls its
+        legal contenders for a ready head flit routed to it; the owner of a
+        locked output forwards its next flit.  Both read the live state, so
+        an input whose tail left through an earlier output competes for the
+        later outputs of the same cycle.
+        """
+        if not self._flits:
             # Nothing buffered anywhere: apply the one-time idle refill.
             self._settle_idle()
             return
         self._was_idle = False
+        fifos = self._fifos
+        owner = self._owner
+        credits = self._credits
 
-        for out_port in self.output_ports:
-            arbiter = self.arbiters.get(out_port)
-            owner = self.output_owner[out_port]
-            if owner is not None:
-                self._forward_from(owner, out_port, now, events)
-                continue
-            if arbiter is None:
-                continue
-            requesters = self._requesters(out_port, now)
-            if not requesters:
-                arbiter.idle_cycle()
-                continue
-            if out_port is not Port.LOCAL and self.output_credits[out_port] <= 0:
-                # The downstream buffer is full: allocation is deferred, the
-                # arbiter state is left untouched (nobody is served).
-                continue
-            winner = arbiter.grant(requesters)
-            if winner is None:  # pragma: no cover - requesters is non-empty
-                continue
-            self.output_owner[out_port] = winner
-            self.input_grant[winner] = out_port
-            self._forward_from(winner, out_port, now, events)
+        for out, arbiter, contenders in self._plan:
+            holder = owner[out]
+            if holder is None:
+                if arbiter is None:
+                    continue
+                # No per-input grant state is needed: a granted head leaves
+                # in the cycle it wins, and body/tail flits carry route -1,
+                # so a matching route is always an unallocated head.
+                requesters = []
+                for position, port in enumerate(contenders):
+                    fifo = fifos[port]
+                    if fifo:
+                        head = fifo[0]
+                        if head.route == out and head.ready_cycle <= now:
+                            requesters.append(position)
+                if not requesters:
+                    arbiter.idle_cycle()
+                    continue
+                if out != _LOCAL and credits[out] <= 0:
+                    # The downstream buffer is full: allocation is deferred, the
+                    # arbiter state is left untouched (nobody is served).
+                    continue
+                holder = owner[out] = contenders[arbiter.pick(requesters)]
 
-    # ------------------------------------------------------------------
-    def _requesters(self, out_port: Port, now: int) -> List[Port]:
-        """Input ports whose head-of-line header flit requests ``out_port``."""
-        arbiter = self.arbiters[out_port]
-        requesters: List[Port] = []
-        for in_port in arbiter.candidates:
-            buffer = self.buffers.get(in_port)
-            if buffer is None:
+            # Move one flit of the packet owning ``out`` (if possible).
+            fifo = fifos[holder]
+            if not fifo:
                 continue
-            flit = buffer.peek()
-            if flit is None or not flit.is_head:
-                continue
+            flit = fifo[0]
             if flit.ready_cycle > now:
                 continue
-            if self.input_grant[in_port] is not None:
+            if out != _LOCAL and credits[out] <= 0:
                 continue
-            if self.topology.output_port(self.coord, flit.destination) is not out_port:
-                continue
-            requesters.append(in_port)
-        return requesters
-
-    def _forward_from(
-        self, in_port: Port, out_port: Port, now: int, events: List[RouterEvent]
-    ) -> None:
-        """Move one flit of the packet owning ``out_port`` (if possible)."""
-        buffer = self.buffers[in_port]
-        flit = buffer.peek()
-        if flit is None or flit.ready_cycle > now:
-            return
-        if out_port is not Port.LOCAL and self.output_credits[out_port] <= 0:
-            return
-        flit = buffer.pop()
-        self.forwarded_flits += 1
-        # Return a credit to whoever feeds this input port.
-        events.append(("credit", self, in_port))
-        if out_port is Port.LOCAL:
-            events.append(("eject", self, flit))
-        else:
-            self.output_credits[out_port] -= 1
-            events.append(("forward", self, out_port, flit))
-        if flit.is_tail:
-            self.output_owner[out_port] = None
-            self.input_grant[in_port] = None
+            del fifo[0]
+            self._flits -= 1
+            self.forwarded_flits += 1
+            # Return a credit to whoever feeds this input port.
+            events.append(("credit", self, holder))
+            if out == _LOCAL:
+                events.append(("eject", self, flit))
+            else:
+                credits[out] -= 1
+                events.append(("forward", self, out, flit))
+            if flit.flit_type in _TAILS:
+                owner[out] = None
 
     # ------------------------------------------------------------------
     def return_credit(self, out_port: Port) -> None:
         """Called by the network when the downstream buffer freed one slot."""
-        if out_port is Port.LOCAL:
-            return
-        self.output_credits[out_port] += 1
-        if self.output_credits[out_port] > self.config.buffer_depth:
+        if out_port is not Port.LOCAL:
+            self._return_credit(PORT_INDEX[out_port])
+
+    def _return_credit(self, out: int) -> None:
+        """One credit back for directional output port number ``out``."""
+        self._credits[out] += 1
+        if self._credits[out] > self._depth:
             raise RuntimeError(
-                f"credit overflow on {self.coord} {out_port}: flow-control protocol violation"
+                f"credit overflow on {self.coord} {PORTS[out]}: flow-control protocol violation"
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -9,7 +9,7 @@ from repro.geometry import Coord, Port
 from repro.noc.flit import Message, Packet
 from repro.noc.network import Network
 from repro.noc.nic import NIC
-from repro.noc.router import Router
+from repro.noc.router import PORTS, Router
 
 
 def make_flits(src, dst, size):
@@ -47,7 +47,7 @@ class TestRouter:
         router.step(3, events)
         forwards = [e for e in events if e[0] == "forward"]
         assert len(forwards) == 1
-        assert forwards[0][2] is Port.XMINUS  # XY routing towards (0,0)
+        assert PORTS[forwards[0][2]] is Port.XMINUS  # XY routing towards (0,0)
 
     def test_ejection_event_for_local_destination(self):
         config = regular_mesh_config(4)
@@ -57,7 +57,7 @@ class TestRouter:
         events = []
         router.step(0, events)
         assert any(e[0] == "eject" for e in events)
-        assert any(e[0] == "credit" and e[2] is Port.XMINUS for e in events)
+        assert any(e[0] == "credit" and PORTS[e[2]] is Port.XMINUS for e in events)
 
     def test_output_lock_until_tail(self):
         """A multi-flit packet holds its output port until the tail leaves."""
@@ -78,15 +78,59 @@ class TestRouter:
     def test_no_forward_without_credit(self):
         config = regular_mesh_config(4, buffer_depth=1)
         router = Router(Coord(1, 0), config)
-        router.output_credits[Port.XMINUS] = 0
-        flit = make_flits(Coord(1, 0), Coord(0, 0), 1)[0]
-        router.accept_flit(Port.LOCAL, flit, ready_cycle=0)
+        first, second = (make_flits(Coord(1, 0), Coord(0, 0), 1)[0] for _ in range(2))
+        router.accept_flit(Port.LOCAL, first, ready_cycle=0)
         events = []
-        router.step(0, events)
+        router.step(0, events)  # spends the only credit towards (0,0)
+        assert [e for e in events if e[0] == "forward"]
+        router.accept_flit(Port.LOCAL, second, ready_cycle=1)
+        events = []
+        router.step(1, events)
         assert not [e for e in events if e[0] == "forward"]
         router.return_credit(Port.XMINUS)
-        router.step(1, events)
+        router.step(2, events)
         assert [e for e in events if e[0] == "forward"]
+
+    def test_tail_then_head_in_one_cycle(self):
+        """A tail leaving through an earlier output frees its input, whose
+        next head flit competes for the later outputs of the same cycle."""
+        router = Router(Coord(1, 1), regular_mesh_config(4, buffer_depth=4))
+        first = make_flits(Coord(0, 1), Coord(1, 1), 2)
+        second = make_flits(Coord(0, 1), Coord(3, 1), 2)
+        for flit in first + second[:1]:
+            router.accept_flit(Port.XPLUS, flit, ready_cycle=0)
+        router.step(0, [])  # the first head is ejected
+        events = []
+        router.step(1, events)
+        ejects = [e for e in events if e[0] == "eject"]
+        forwards = [e for e in events if e[0] == "forward"]
+        assert len(ejects) == 1 and ejects[0][2] is first[1]
+        assert len(forwards) == 1 and forwards[0][3] is second[0]
+        assert PORTS[forwards[0][2]] is Port.XPLUS
+
+    def test_flit_count_tracks_buffers(self):
+        """has_work/buffered_flits read a maintained count that always
+        equals the buffered flits."""
+        router = Router(Coord(1, 1), regular_mesh_config(4, buffer_depth=2))
+        assert not router.has_work() and router.next_ready_cycle() is None
+        for port, dst in ((Port.LOCAL, Coord(0, 1)), (Port.XPLUS, Coord(3, 1))):
+            for flit in make_flits(Coord(0, 0), dst, 2):
+                router.accept_flit(port, flit, ready_cycle=0)
+        for cycle in range(6):
+            assert router.buffered_flits() == sum(len(b) for b in router.buffers.values())
+            assert router.has_work() == (router.buffered_flits() > 0)
+            router.step(cycle, [])
+        assert router.buffered_flits() == 0
+        assert router.forwarded_flits == 4
+
+    def test_head_flits_carry_their_route(self):
+        """Lookahead routing: a head is routed when it enters a buffer."""
+        router = Router(Coord(1, 1), waw_wap_config(4))
+        head, tail = make_flits(Coord(0, 0), Coord(1, 3), 2)
+        router.accept_flit(Port.XPLUS, head, ready_cycle=0)
+        router.accept_flit(Port.XPLUS, tail, ready_cycle=0)
+        assert PORTS[head.route] is router.topology.output_port(Coord(1, 1), Coord(1, 3))
+        assert tail.route == -1
 
     def test_credit_overflow_detected(self):
         config = regular_mesh_config(4)
