@@ -11,7 +11,9 @@ all answer the same questions through one interface.  This example
    workload -- the regime where flow-aware analyses beat the paper's
    traffic-agnostic bounds;
 2. cross-checks the sparse-workload bounds against the cycle-accurate
-   simulator's most adversarial congestion;
+   simulator's most adversarial congestion with ``check_bounds``, the one
+   soundness check the ``validation`` and ``bound_comparison`` experiments
+   share;
 3. runs the registered ``bound_comparison`` experiment (quick grid) and
    prints its tightness report.
 
@@ -26,13 +28,12 @@ from typing import Dict, List
 
 from repro.analysis.backends import make_analysis_backend
 from repro.analysis.reporting import format_table, format_title
+from repro.analysis.validation import AdversarialCheck, check_bounds
 from repro.api import Scenario
 from repro.core.flows import FlowSet
 from repro.core.weights import WeightTable
 from repro.experiments import bound_comparison
 from repro.geometry import Coord
-from repro.noc import Network
-from repro.workloads.synthetic import AdversarialCongestionTraffic
 
 SCENARIO = Scenario.mesh(4).waw_wap()
 BACKENDS = ("weighted", "holistic", "trajectory")
@@ -76,21 +77,20 @@ def bound_rows() -> List[Dict[str, object]]:
     return rows
 
 
-def observed_worst() -> int:
-    """Worst probe latency under adversarial sparse-workload congestion."""
+def sparse_check() -> AdversarialCheck:
+    """Every backend's bound vs the worst probe latency under adversarial
+    sparse-workload congestion (one-flit probes, 1200 cycles)."""
     config = SCENARIO.build()
     victim, dst, workloads = _workloads(config)
-    static_weights = WeightTable.from_flow_set(
-        FlowSet.all_to_one(config.mesh, dst)
-    )
-    network = Network(config, weight_table=static_weights)
-    traffic = AdversarialCongestionTraffic(
-        mesh=config.mesh,
-        victim_source=victim,
-        victim_destination=dst,
+    return check_bounds(
+        config,
+        victim,
+        dst,
+        BACKENDS,
+        payload_flits=1,
+        congestion_cycles=1_200,
         background_sources=[f.source for f in workloads["sparse"]],
     )
-    return traffic.worst_probe_latency(network, 1_200)
 
 
 def main() -> None:
@@ -99,11 +99,10 @@ def main() -> None:
     print(format_table(rows))
     print()
 
-    worst = observed_worst()
-    sparse = next(r for r in rows if r["workload"] == "sparse")
+    check = sparse_check()
+    worst = check.observed_worst
     print(f"worst simulated probe latency under the sparse adversary: {worst}")
-    for name in BACKENDS:
-        bound = sparse[name]
+    for name, bound in check.bounds.items():
         print(f"  {name:10s} bound {bound:4d}  slack {bound - worst:4d}  "
               f"{'sound' if bound >= worst else 'UNSOUND'}")
     print()

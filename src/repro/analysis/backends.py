@@ -37,8 +37,8 @@ Every backend additionally exposes ``validation_analysis`` /
 against the non-conforming adversarial traffic the simulator-based
 validation machinery injects.  For the flow-aware analyses that is the
 analysis itself; the paper's weighted bound switches to unregulated
-contenders with all-to-one weights (exactly what
-:mod:`repro.analysis.validation` has always validated).
+contenders with all-to-one weights.  The one soundness check,
+:func:`repro.analysis.validation.check_bounds`, calls these variants.
 """
 
 from __future__ import annotations
@@ -252,11 +252,15 @@ def make_analysis_backend(
     """Resolve a backend name (or pass an instance through) to a backend.
 
     ``None`` resolves to the paper's analysis pair: ``weighted`` bounds for
-    WaW+WaP design points, ``regular`` bounds for everything else -- i.e.
-    exactly what :func:`repro.core.wctt.make_wctt_analysis` has always
-    produced.  Because that default is config-dependent, ``None`` resolves
-    to the dispatching :class:`PaperAnalysisBackend` rather than a fixed
-    registry entry.
+    WaW+WaP design points, ``regular`` bounds for everything else.  Because
+    that default is config-dependent, ``None`` resolves to the dispatching
+    :class:`PaperAnalysisBackend` rather than a fixed registry entry.
+
+    This matches :func:`repro.core.wctt.make_wctt_analysis` except on
+    WaW-only designs (weighted arbitration without WaP): ``regular`` refuses
+    them, because weighted arbitration breaks its round-robin premise, while
+    ``make_wctt_analysis``, ``scenario_wctt`` (design ``waw``) and
+    :class:`~repro.core.ubd.UBDTable` still serve the regular bound there.
     """
     if spec is None:
         return _paper_backend()

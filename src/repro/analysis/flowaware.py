@@ -278,14 +278,7 @@ class FlowAwareWCTTAnalysis:
         if payload_flits < 1:
             raise ValueError("payload_flits must be >= 1")
         if self.config.is_wap:
-            messages = self.config.messages
-            if payload_flits == 1:
-                slices = 1
-            else:
-                payload_bits = (
-                    payload_flits * messages.link_width_bits - messages.control_bits
-                )
-                slices = messages.wap_packets_for_payload_bits(payload_bits)
+            slices = self.config.messages.wap_slices(payload_flits)
             return slices * self.wctt_packet(source, destination)
         max_flits = self.config.max_packet_flits
         full, rest = divmod(payload_flits, max_flits)

@@ -426,20 +426,9 @@ class VectorWaWWaPAnalysis:
         grid[dy, dx] = 0
         return grid
 
-    def _slices(self, payload_flits: int) -> int:
-        if payload_flits < 1:
-            raise ValueError("payload_flits must be >= 1")
-        messages = self.config.messages
-        if payload_flits == 1:
-            return 1
-        payload_bits = (
-            payload_flits * messages.link_width_bits - messages.control_bits
-        )
-        return messages.wap_packets_for_payload_bits(payload_bits)
-
     def message_grid_to(self, destination: Coord, *, payload_flits: int):
         """Whole-message WCTT of every source towards ``destination``."""
-        slices = self._slices(payload_flits)
+        slices = self.config.messages.wap_slices(payload_flits)
         first = self.wctt_grid_to(destination)
         if slices == 1:
             return first
@@ -568,7 +557,7 @@ class VectorWaWWaPAnalysis:
 
     def message_grid_from(self, source: Coord, *, payload_flits: int):
         """Whole-message WCTT from ``source`` to every destination."""
-        slices = self._slices(payload_flits)
+        slices = self.config.messages.wap_slices(payload_flits)
         first = self.wctt_grid_from(source)
         if slices == 1:
             return first

@@ -19,9 +19,8 @@ a running analysis daemon with three guarantees:
   :mod:`repro.campaign.sharding`) runs *first*; the full result set is only
   unblinded -- i.e. the blind shards are only computed -- once every
   held-out shard passes the campaign's acceptance predicate.  A violation
-  raises :class:`HoldoutViolation` before any blind shard runs, mirroring
-  the blind-analysis discipline of
-  :mod:`repro.experiments.bound_comparison`.
+  raises :class:`HoldoutViolation` before any blind shard runs, as the
+  blind-analysis discipline of :mod:`repro.experiments.bound_comparison` does.
 
 The campaign's grid is persisted as a *manifest* under
 ``<store_root>/campaigns/<campaign_id>.json``, so ``campaign resume`` and
@@ -77,15 +76,15 @@ class CampaignError(RuntimeError):
 
 
 class HoldoutViolation(CampaignError):
-    """A held-out shard failed its acceptance predicate; the full result
-    set stays blind (no blind shard was computed)."""
+    """A held-out subset failed its acceptance check, so nothing else was
+    computed.  ``subject`` names it: ``campaign <id>`` or ``bound_comparison``."""
 
-    def __init__(self, campaign_id: str, violations: Sequence[str]) -> None:
-        self.campaign_id = campaign_id
+    def __init__(self, subject: str, violations: Sequence[str]) -> None:
+        self.subject = subject
         self.violations = list(violations)
         details = "; ".join(self.violations)
         super().__init__(
-            f"campaign {campaign_id}: held-out validation failed, refusing to "
+            f"{subject}: held-out validation failed, refusing to "
             f"unblind the full result set: {details}"
         )
 
@@ -321,7 +320,7 @@ class Campaign:
             if progress is not None:
                 progress(shard, record)
         if violations:
-            raise HoldoutViolation(self.campaign_id, violations)
+            raise HoldoutViolation(f"campaign {self.campaign_id}", violations)
 
         for shard in blind:
             record = self._run_shard(shard, resume=resume)

@@ -11,21 +11,22 @@ manifest and finds its completed shards in the store.
 
 The *held-out* subset used for blind validation (see
 :class:`repro.campaign.Campaign`) is also content-derived: the ``holdout``
-shards with the lexicographically smallest shard IDs.  Because the IDs are
-hashes, the selection is deterministic yet effectively arbitrary with
-respect to the grid layout -- reordering the grid axes cannot steer a
-chosen design point into (or out of) the held-out set.
+shards with the lexicographically smallest shard IDs (:func:`holdout_ids`,
+the one rule the ``bound_comparison`` experiment applies to its job specs
+too).  Because the IDs are hashes, the selection is deterministic yet
+effectively arbitrary with respect to the grid layout -- reordering the grid
+axes cannot steer a chosen design point into (or out of) the held-out set.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 from ..api.engine import BatchJob, config_hash
 
-__all__ = ["Shard", "make_shards", "shard_id_for"]
+__all__ = ["Shard", "holdout_ids", "make_shards", "shard_id_for"]
 
 #: Salt separating shard digests from job config hashes in a shared store.
 _SHARD_SALT = "repro-campaign-shard:"
@@ -44,6 +45,11 @@ def shard_id_for(job_hashes: Sequence[str]) -> str:
     """
     blob = _SHARD_SALT + ",".join(job_hashes)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def holdout_ids(content_ids: Iterable[str], count: int) -> Set[str]:
+    """The blind-validation holdout: the ``count`` smallest content IDs."""
+    return set(sorted(content_ids)[:count])
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,7 @@ def make_shards(
         )
     hashes = [tuple(config_hash(job) for job in chunk) for chunk in chunks]
     ids = [shard_id_for(chunk_hashes) for chunk_hashes in hashes]
-    held_out = set(sorted(ids)[:holdout])
+    held_out = holdout_ids(ids, holdout)
     return [
         Shard(
             index=index,

@@ -146,6 +146,21 @@ class MessageConfig:
         usable = self.link_width_bits - self.control_bits
         return max(1, math.ceil(payload_bits / usable))
 
+    def wap_slices(self, payload_flits: int) -> int:
+        """Number of WaP slices of a message of ``payload_flits`` flits.
+
+        A single-flit message already has the minimum size and travels as
+        one slice without overhead; a longer one is re-sliced by
+        :meth:`wap_packets_for_payload_bits` (a 4-flit cache line becomes 5).
+        """
+        if payload_flits < 1:
+            raise ValueError("payload_flits must be >= 1")
+        if payload_flits == 1:
+            return 1
+        return self.wap_packets_for_payload_bits(
+            payload_flits * self.link_width_bits - self.control_bits
+        )
+
 
 @dataclass(frozen=True)
 class NoCConfig:

@@ -175,10 +175,6 @@ class FlowSet:
         flows = self._index().get((router, port, direction), ())
         return len({flow.source for flow in flows})
 
-    def flows_sharing_link(self, router: Coord, out_port: Port) -> Tuple[Flow, ...]:
-        """Alias of :meth:`flows_through_output`, kept for readability."""
-        return self.flows_through_output(router, out_port)
-
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .config import MessageConfig, NoCConfig, PacketizationPolicy
+from .config import NoCConfig, PacketizationPolicy
 
 __all__ = [
     "MessageDescriptor",
@@ -88,9 +88,6 @@ class Packetizer:
         """Total flits injected for ``message`` (including any WaP overhead)."""
         return sum(p.flits for p in self.packetize(message))
 
-    def packet_count(self, message: MessageDescriptor) -> int:
-        return len(self.packetize(message))
-
     def overhead_flits(self, message: MessageDescriptor) -> int:
         """Extra flits w.r.t. the regular single-packet encoding."""
         return self.total_flits(message) - message.payload_flits
@@ -127,22 +124,18 @@ class WaPPacketizer(Packetizer):
     information is replicated in each slice, which consumes part of the flit
     capacity: the number of slices for a message of ``p`` payload flits is
     computed through the bit-level accounting of
-    :meth:`repro.core.config.MessageConfig.wap_packets_for_payload_bits`, so a
+    :meth:`repro.core.config.MessageConfig.wap_slices`, so a
     4-flit (512-bit) cache line over 132-bit flits with 16-bit control yields
     5 packets, the paper's 25 % overhead.
     """
 
     def packetize(self, message: MessageDescriptor) -> List[PacketDescriptor]:
-        messages: MessageConfig = self.config.messages
         m = self.config.min_packet_flits
-        if message.payload_flits == 1:
-            # Single-flit requests already have the minimum size; WaP does
-            # not add overhead to them (the origin of the "negligible average
-            # degradation" result: only multi-flit messages pay the price).
-            return [PacketDescriptor(flits=m, index=0, total=1, kind=message.kind)]
-        payload_bits = message.payload_flits * messages.link_width_bits - messages.control_bits
-        slices = messages.wap_packets_for_payload_bits(payload_bits)
-        # Each slice is exactly one minimum-size packet.
+        # Each slice is exactly one minimum-size packet.  A single-flit
+        # request is one slice without overhead (the origin of the
+        # "negligible average degradation" result: only multi-flit messages
+        # pay the price).
+        slices = self.config.messages.wap_slices(message.payload_flits)
         return [
             PacketDescriptor(flits=m, index=i, total=slices, kind=message.kind)
             for i in range(slices)

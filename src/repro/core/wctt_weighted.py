@@ -102,11 +102,7 @@ class WaWWaPWCTTAnalysis:
     # ------------------------------------------------------------------
     @classmethod
     def for_memory_traffic(
-        cls,
-        config: NoCConfig,
-        *,
-        include_replies: bool = True,
-        regulated_contenders: bool = True,
+        cls, config: NoCConfig, *, include_replies: bool = True
     ) -> "WaWWaPWCTTAnalysis":
         """Analysis with weights derived from the evaluated manycore traffic.
 
@@ -120,12 +116,7 @@ class WaWWaPWCTTAnalysis:
         pairs = [(src, mc) for src in mesh.nodes() if src != mc]
         if include_replies:
             pairs += [(mc, dst) for dst in mesh.nodes() if dst != mc]
-        flow_set = FlowSet.from_pairs(mesh, pairs)
-        return cls(
-            config,
-            WeightTable.from_flow_set(flow_set),
-            regulated_contenders=regulated_contenders,
-        )
+        return cls(config, WeightTable.from_flow_set(FlowSet.from_pairs(mesh, pairs)))
 
     # ------------------------------------------------------------------
     # Per-hop bound
@@ -228,14 +219,7 @@ class WaWWaPWCTTAnalysis:
         after the first slice, where ``k`` is the number of slices (including
         the replicated-header overhead computed by the WaP packetizer).
         """
-        if payload_flits < 1:
-            raise ValueError("payload_flits must be >= 1")
-        messages = self.config.messages
-        if payload_flits == 1:
-            slices = 1
-        else:
-            payload_bits = payload_flits * messages.link_width_bits - messages.control_bits
-            slices = messages.wap_packets_for_payload_bits(payload_bits)
+        slices = self.config.messages.wap_slices(payload_flits)
         first = self.wctt_packet(source, destination)
         if slices == 1:
             return first

@@ -5,18 +5,20 @@ bounds and the flow-aware ``holistic`` / ``trajectory`` analyses) is
 evaluated over the same topology x workload x packet-size grid, and every
 bound is cross-checked against the worst probe traversal the cycle-accurate
 simulator observes under the most adversarial congestion it can express for
-that design point (the :mod:`repro.analysis.validation` machinery).  The
-vector backend is deliberately absent from the rows: it is bit-identical to
-the paper pair by contract (``tests/test_differential_analysis.py``) and its
-inclusion would make the pinned golden output depend on numpy.
+that design point (:func:`repro.analysis.validation.check_bounds`, the
+soundness check experiment E9 shares).  The vector backend is deliberately
+absent from the rows: it is bit-identical to the paper pair by contract
+(``tests/test_differential_analysis.py``) and its inclusion would make the
+pinned golden output depend on numpy.
 
 Two disciplines shape the run:
 
 * **blind analysis** (the STAR isobar methodology, arXiv:1911.00596): a
-  deterministic *held-out* subset of the grid is simulated first and every
-  backend's bound must be sound on it -- an unsound backend aborts the run
-  before the full comparison is even computed, so tightness numbers can
-  never be read off a broken bound;
+  *held-out* third of the grid, picked by the campaigns' content-ID rule so
+  that reordering the grid axes cannot steer it, is simulated first and
+  every backend's bound must be sound on it -- an unsound backend raises
+  :class:`~repro.campaign.HoldoutViolation` before the full comparison is
+  even computed, so tightness numbers can never be read off a broken bound;
 * **tightness scoring**: per (design point, flow) the *winning* backend is
   the sound bound closest to the observation (ties share the win), and the
   report aggregates per-backend wins, mean tightness and soundness verdicts.
@@ -31,17 +33,21 @@ actually request -- the regime where knowing the flow set pays.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.reporting import format_table, format_title
+from ..analysis.validation import check_bounds
 from ..api import Scenario, experiment, unwrap
 from ..api.engine import map_jobs
-from ..core.flows import FlowSet
-from ..core.weights import WeightTable
+from ..campaign import HoldoutViolation
+from ..campaign.sharding import holdout_ids
 from ..geometry import Coord
 
-__all__ = ["ComparisonRow", "SoundnessViolation", "run", "report"]
+__all__ = ["ComparisonRow", "run", "report"]
 
 #: Backends compared per design (the vector backend is excluded by design --
 #: see the module docstring).
@@ -53,10 +59,6 @@ DESIGN_BACKENDS: Dict[str, Tuple[str, ...]] = {
 #: Grid axes accepted by :func:`run`.
 WORKLOADS = ("full", "sparse")
 TOPOLOGIES = ("mesh", "cmesh")
-
-
-class SoundnessViolation(RuntimeError):
-    """A backend's bound fell below an observed traversal on the held-out set."""
 
 
 @dataclass(frozen=True)
@@ -166,89 +168,39 @@ def _grid_jobs(
     return jobs
 
 
+def _spec_id(spec: Dict[str, Any]) -> str:
+    """SHA-256 of a job spec's canonical JSON (unlike ``config_hash``, it
+    does not fold in the package version, so releases keep the holdout)."""
+    blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 # ----------------------------------------------------------------------
 # Per-job evaluation (top-level: must pickle into the map_jobs pool)
 # ----------------------------------------------------------------------
-def _burst_safe_message_bound(config, analysis, source, destination, payload: int) -> int:
-    """Burst-safe bound for a whole probe message.
-
-    WaP analyses pipeline consecutive slices at one arbitration-round
-    spacing (``first + (slices - 1) * bottleneck_round``) -- an argument
-    that assumes *regulated* contenders and is demonstrably exceeded under
-    the adversarial traffic simulated here (backlog re-accumulates between
-    slices).  Every slice is therefore charged the full burst-safe packet
-    bound.  Non-WaP designs keep their message bound: it is already a plain
-    sum over the message's packets.
-    """
-    if not config.is_wap:
-        return analysis.wctt_message(source, destination, payload_flits=payload)
-    messages = config.messages
-    if payload == 1:
-        slices = 1
-    else:
-        payload_bits = payload * messages.link_width_bits - messages.control_bits
-        slices = messages.wap_packets_for_payload_bits(payload_bits)
-    return slices * analysis.wctt_packet(source, destination)
-
-
 def _evaluate_job(job: Dict[str, Any]) -> Dict[str, Any]:
     """Simulate one (design point, flow) once; bound it with every backend."""
-    from ..analysis.backends import make_analysis_backend
-    from ..noc.network import Network
-    from ..workloads.synthetic import AdversarialCongestionTraffic
-
     config = _point_scenario(job["size"], job["topology"], job["design"]).build()
-    mesh = config.mesh
     dst = config.memory_controller
     victim = Coord(*job["victim"])
-    nodes = list(mesh.nodes())
-
+    sources = None
     if job["workload"] == "sparse":
-        active_sources = _sparse_sources(nodes, dst, victim)
-    else:
-        active_sources = [n for n in nodes if n != dst]
-    flow_set = FlowSet.from_pairs(mesh, [(src, dst) for src in active_sources])
-
-    # The WaW hardware is statically configured for the general all-to-one
-    # case; a sparse workload does NOT re-weight the arbiters.  That static
-    # table is what the network runs with and what every analysis is told
-    # about -- the flow-aware backends win by charging only the subset of
-    # its credits that can actually request.
-    static_weights = (
-        WeightTable.from_flow_set(FlowSet.all_to_one(mesh, dst))
-        if config.is_waw
-        else None
-    )
-
-    bounds: Dict[str, int] = {}
-    for name in DESIGN_BACKENDS[job["design"]]:
-        backend = make_analysis_backend(name)
-        analysis = backend.validation_analysis(
-            config, destination=dst, flow_set=flow_set, weight_table=static_weights
-        )
-        bounds[name] = _burst_safe_message_bound(
-            config, analysis, victim, dst, job["payload"]
-        )
-
-    network = Network(config, weight_table=static_weights)
-    traffic = AdversarialCongestionTraffic(
-        mesh=mesh,
-        victim_source=victim,
-        victim_destination=dst,
+        sources = _sparse_sources(list(config.mesh.nodes()), dst, victim)
+    check = check_bounds(
+        config,
+        victim,
+        dst,
+        DESIGN_BACKENDS[job["design"]],
         payload_flits=job["payload"],
-        background_sources=None if job["workload"] == "full" else active_sources,
+        congestion_cycles=job["cycles"],
+        background_sources=sources,
     )
-    probes, _ = traffic.drive(network, job["cycles"])
-    latencies = [p.network_latency for p in probes if p.network_latency is not None]
-    if not latencies:
-        raise RuntimeError(f"no probe completed for job {job!r}")
-
     return {
         **job,
         "dst": [dst.x, dst.y],
-        "observed": max(latencies),
-        "probes": len(latencies),
-        "bounds": bounds,
+        "observed": check.observed_worst,
+        "probes": check.probes,
+        "bounds": check.bounds,
     }
 
 
@@ -323,16 +275,19 @@ def run(
     congestion and the observation is shared by all backends' rows.
     ``jobs`` fans the simulations onto the ``map_jobs`` worker pool.
 
-    Following the blind-analysis discipline, a deterministic held-out third
-    of the grid is simulated *first* and every backend must be sound on it;
-    a violation raises :class:`SoundnessViolation` and the full grid is
-    never evaluated.
+    Following the blind-analysis discipline, a held-out third of the grid
+    (the ceil(n/3) job specs with the smallest content IDs, the campaigns'
+    rule) is simulated *first* and every backend must be sound on it; a
+    violation raises :class:`~repro.campaign.HoldoutViolation` and the rest
+    of the grid is never evaluated.
     """
     specs = _grid_jobs(
         mesh_sizes, topologies, designs, workloads, payload_sizes, congestion_cycles
     )
-    holdout = [spec for i, spec in enumerate(specs) if i % 3 == 0]
-    rest = [spec for i, spec in enumerate(specs) if i % 3 != 0]
+    ids = [_spec_id(spec) for spec in specs]
+    held_out = holdout_ids(ids, math.ceil(len(specs) / 3))
+    holdout = [spec for spec, spec_id in zip(specs, ids) if spec_id in held_out]
+    rest = [spec for spec, spec_id in zip(specs, ids) if spec_id not in held_out]
 
     holdout_outcomes = map_jobs(_evaluate_job, holdout, jobs=jobs)
     violations = []
@@ -346,10 +301,7 @@ def run(
                     f"flow {tuple(outcome['victim'])}"
                 )
     if violations:
-        raise SoundnessViolation(
-            "held-out soundness check failed; the comparison grid was not "
-            "evaluated: " + "; ".join(violations)
-        )
+        raise HoldoutViolation("bound_comparison", violations)
 
     rest_outcomes = map_jobs(_evaluate_job, rest, jobs=jobs)
     rows: List[ComparisonRow] = []

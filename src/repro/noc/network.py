@@ -359,10 +359,6 @@ class Network:
         """Retransmission attempts launched by all NICs (0 without faults)."""
         return sum(n.retransmissions for n in self.nics.values())
 
-    def total_pending_acks(self) -> int:
-        """Sent messages across all NICs still waiting for an ACK."""
-        return sum(n.pending_acks() for n in self.nics.values())
-
     def fault_counts(self) -> Dict[str, int]:
         """The fault injector's counters (all zero on a reliable network)."""
         if self.fault_injector is None:

@@ -261,10 +261,6 @@ class Topology(Mesh):
             f"route from {source} to {destination} did not terminate"
         )
 
-    def route_routers(self, source: Coord, destination: Coord) -> List[Coord]:
-        """Just the sequence of routers crossed by the route."""
-        return [hop.router for hop in self.route(source, destination)]
-
     # ------------------------------------------------------------------
     # Legal turns (time-composable contention structure)
     # ------------------------------------------------------------------

@@ -196,10 +196,15 @@ class AdversarialCongestionTraffic:
             network.step()
         return probes, background
 
-    def worst_probe_latency(self, network: Network, cycles: int) -> int:
-        """Convenience wrapper returning the largest observed probe latency."""
+    def probe_latencies(self, network: Network, cycles: int) -> List[int]:
+        """Run the scenario; the network latencies of the completed probes."""
         probes, _ = self.drive(network, cycles)
         latencies = [p.network_latency for p in probes if p.network_latency is not None]
         if not latencies:
-            raise RuntimeError("no probe completed")
-        return max(latencies)
+            victim = f"{self.victim_source}->{self.victim_destination}"
+            raise RuntimeError(f"no probe of {victim} completed")
+        return latencies
+
+    def worst_probe_latency(self, network: Network, cycles: int) -> int:
+        """Convenience wrapper returning the largest observed probe latency."""
+        return max(self.probe_latencies(network, cycles))

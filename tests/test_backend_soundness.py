@@ -7,12 +7,17 @@ itself applicable must bound the worst observed probe traversal.
 
 The second half checks the blind-analysis discipline of the
 ``bound_comparison`` experiment (the STAR isobar methodology,
-arXiv:1911.00596): the held-out subset is simulated *before* the full grid,
-and an unsound backend aborts the run without the comparison numbers ever
-being computed.
+arXiv:1911.00596): the held-out subset -- the campaigns' smallest-content-ID
+rule -- is simulated *before* the full grid, an unsound backend aborts the
+run with ``HoldoutViolation`` without the comparison numbers ever being
+computed, and reordering the grid axes does not change what is held out.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+import math
 
 import pytest
 
@@ -25,6 +30,7 @@ from repro.analysis.backends import (
     available_analysis_backends,
     make_analysis_backend,
 )
+from repro.campaign import HoldoutViolation
 from repro.core import FlowSet, WeightTable, regular_mesh_config, waw_wap_config
 from repro.experiments import bound_comparison
 from repro.geometry import Coord
@@ -111,6 +117,19 @@ class _UnsoundBackend(AnalysisBackend):
         return _One()
 
 
+def _expected_holdout(specs):
+    """The held-out specs: the ceil(n/3) smallest SHA-256 digests of each
+    spec's canonical JSON (version-independent), kept in grid order."""
+    ids = [
+        hashlib.sha256(
+            json.dumps(spec, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        ).hexdigest()
+        for spec in specs
+    ]
+    held_out = set(sorted(ids)[: math.ceil(len(specs) / 3)])
+    return [spec for spec, spec_id in zip(specs, ids) if spec_id in held_out]
+
+
 class TestBlindAnalysisDiscipline:
     def test_holdout_is_simulated_before_the_full_grid(self, monkeypatch):
         evaluated = []
@@ -132,8 +151,10 @@ class TestBlindAnalysisDiscipline:
         specs = bound_comparison._grid_jobs(
             (2,), ("mesh",), ("regular",), ("full",), (1,), 300
         )
-        holdout = [s for i, s in enumerate(specs) if i % 3 == 0]
+        holdout = _expected_holdout(specs)
+        assert len(holdout) == math.ceil(len(specs) / 3)
         assert evaluated[: len(holdout)] == holdout
+        assert sorted(map(repr, evaluated)) == sorted(map(repr, specs))
 
     def test_unsound_backend_aborts_before_the_comparison(self, monkeypatch):
         from repro.analysis import backends as backends_module
@@ -156,7 +177,9 @@ class TestBlindAnalysisDiscipline:
         monkeypatch.setattr(bound_comparison, "_evaluate_job", tracking)
         try:
             with pytest.raises(
-                bound_comparison.SoundnessViolation, match="held-out"
+                HoldoutViolation,
+                match="^bound_comparison: held-out validation failed, refusing "
+                "to unblind the full result set: unsound-test-backend: bound 1 <",
             ):
                 bound_comparison.run(
                     mesh_sizes=(3,),
@@ -171,5 +194,26 @@ class TestBlindAnalysisDiscipline:
         specs = bound_comparison._grid_jobs(
             (3,), ("mesh",), ("regular",), ("full",), (1,), 300
         )
-        holdout_size = len([s for i, s in enumerate(specs) if i % 3 == 0])
-        assert len(evaluated) == holdout_size  # the full grid never ran
+        # The full grid never ran: only the ceil(n/3) held-out specs did.
+        assert evaluated == _expected_holdout(specs)
+        assert len(evaluated) == math.ceil(len(specs) / 3)
+
+    def test_reordering_the_grid_axes_cannot_steer_the_holdout(self):
+        def held_out(mesh_sizes, designs):
+            rows = bound_comparison.run(
+                mesh_sizes=mesh_sizes,
+                topologies=("mesh",),
+                designs=designs,
+                workloads=("full",),
+                payload_sizes=(1,),
+                congestion_cycles=200,
+            )
+            order = [(r.point, r.flow) for r in rows]
+            return order, {(r.point, r.flow) for r in rows if r.phase == "holdout"}
+
+        order, holdout = held_out((2, 3), ("regular", "waw_wap"))
+        reversed_order, reversed_holdout = held_out((3, 2), ("waw_wap", "regular"))
+        assert set(order) == set(reversed_order)
+        assert len(set(order)) == 8
+        assert len(holdout) == math.ceil(8 / 3)
+        assert holdout == reversed_holdout

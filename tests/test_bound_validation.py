@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.validation import validate_design, validate_flow_bound
+from repro.api import Scenario
 from repro.core.config import regular_mesh_config, waw_wap_config
 from repro.geometry import Coord
 
@@ -45,6 +46,13 @@ class TestValidateFlowBound:
                 config, Coord(1, 0), Coord(0, 0), congestion_cycles=600
             )
             assert result.is_safe
+
+    def test_waw_only_design_has_no_paper_bound(self):
+        # The regular-mesh bound assumes round-robin arbitration, so it is
+        # not a bound for weighted arbitration without WaP.
+        config = Scenario.mesh(3).waw_only().max_packet_flits(1).build()
+        with pytest.raises(ValueError, match="assumes round-robin arbitration"):
+            validate_flow_bound(config, Coord(2, 2), Coord(0, 0), congestion_cycles=400)
 
 
 class TestValidateDesign:

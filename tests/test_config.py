@@ -51,6 +51,14 @@ class TestMessageConfig:
         msgs = MessageConfig()
         assert msgs.wap_packets_for_payload_bits(512) == 5
 
+    def test_wap_slices_of_cache_line(self):
+        """A 4-flit cache line is 5 WaP slices; a single flit stays one."""
+        msgs = MessageConfig()
+        assert msgs.wap_slices(4) == 5
+        assert msgs.wap_slices(1) == 1
+        with pytest.raises(ValueError):
+            msgs.wap_slices(0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MessageConfig(request_flits=0)

@@ -108,6 +108,7 @@ class TestWaPPacketizer:
         messages = config.messages
         packetizer = WaPPacketizer(config)
         packets = packetizer.packetize(MessageDescriptor(payload_flits=payload))
+        assert len(packets) == messages.wap_slices(payload)
         if payload == 1:
             assert len(packets) == 1
             return
