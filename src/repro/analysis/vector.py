@@ -48,7 +48,6 @@ consults.
 
 from __future__ import annotations
 
-from statistics import mean
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 try:  # numpy is an install_requires, but degrade gracefully without it.
@@ -756,12 +755,27 @@ def make_vector_analysis(
     )
 
 
-def _grid_to_map(mesh: Mesh, grid, destination: Coord) -> Dict[Coord, int]:
-    return {
-        coord: int(grid[coord.y, coord.x])
-        for coord in mesh.nodes()
-        if coord != destination
-    }
+def _grid_values(grid, mesh: Mesh, destination: Coord) -> List[int]:
+    """``grid``'s python ints in (row-major) :meth:`Mesh.nodes` order, less ``destination``."""
+    values = grid.ravel().tolist()
+    del values[destination.y * mesh.width + destination.x]
+    return values
+
+
+def _summary_of(values: List[int], config: NoCConfig, label: Optional[str] = None) -> WCTTSummary:
+    """Max/mean/min of ``values`` (the mean rule: :func:`vector_wctt_summary`)."""
+    if not values:
+        raise ValueError("flow set is empty")
+    total, count = sum(values), len(values)
+    whole, rest = divmod(total, count)
+    return WCTTSummary(
+        design=label if label is not None else ("WaW+WaP" if config.is_waw_wap else "regular"),
+        mesh=config.topology.short_label(),
+        maximum=max(values),
+        average=whole if rest == 0 else total / count,
+        minimum=min(values),
+        flow_count=count,
+    )
 
 
 def vector_wctt_map(
@@ -769,7 +783,8 @@ def vector_wctt_map(
 ) -> Dict[Coord, int]:
     """Vector counterpart of :func:`repro.core.wctt.wctt_map`."""
     grid = analysis.wctt_grid_to(destination, packet_flits=packet_flits)
-    return _grid_to_map(analysis.mesh, grid, destination)
+    sources = (c for c in analysis.mesh.nodes() if c != destination)
+    return dict(zip(sources, _grid_values(grid, analysis.mesh, destination)))
 
 
 def vector_wctt_summary(
@@ -783,31 +798,14 @@ def vector_wctt_summary(
 
     Equivalent to ``wctt_summary(make_wctt_analysis(config),
     FlowSet.all_to_one(mesh, memory_controller), packet_flits=...)`` but
-    computed from one to-destination grid.  The mean reuses
-    :func:`statistics.mean` over the exact python ints so even the float
-    rounding matches the scalar path.
+    computed from one to-destination grid.  The mean is :func:`statistics.mean`'s
+    exact rule without its ``Fraction`` arithmetic: an ``int`` when whole, else
+    the correctly rounded ``total / count``, so its type and rounding match too.
     """
     analysis = make_vector_analysis(config, weight_table=weight_table)
     destination = config.memory_controller
-    values = [
-        int(v)
-        for v in vector_wctt_map(
-            analysis, destination, packet_flits=packet_flits
-        ).values()
-    ]
-    if not values:
-        raise ValueError("flow set is empty")
-    label = design_label if design_label is not None else (
-        "WaW+WaP" if config.is_waw_wap else "regular"
-    )
-    return WCTTSummary(
-        design=label,
-        mesh=config.topology.short_label(),
-        maximum=max(values),
-        average=mean(values),
-        minimum=min(values),
-        flow_count=len(values),
-    )
+    grid = analysis.wctt_grid_to(destination, packet_flits=packet_flits)
+    return _summary_of(_grid_values(grid, analysis.mesh, destination), config, design_label)
 
 
 def vector_ubd_entries(
@@ -888,19 +886,13 @@ class GridEvaluator:
             analysis = make_vector_analysis(config)
             destination = config.memory_controller
             if isinstance(analysis, VectorWaWWaPAnalysis):
-                base = list(
-                    vector_wctt_map(analysis, destination, packet_flits=1).values()
-                )
-                cached = ("waw", base, 0, config.min_packet_flits)
+                grid = analysis.wctt_grid_to(destination, packet_flits=1)
+                kind, fc, min_flits = "waw", 0, config.min_packet_flits
             else:
                 grid = analysis.base_grid_to(destination)
-                base = [
-                    int(grid[c.y, c.x])
-                    for c in config.mesh.nodes()
-                    if c != destination
-                ]
-                cached = ("regular", base, config.timing.flit_cycle, 0)
-            self._cache[key] = cached
+                kind, fc, min_flits = "regular", config.timing.flit_cycle, 0
+            base = _grid_values(grid, analysis.mesh, destination)
+            cached = self._cache[key] = (kind, base, fc, min_flits)
         else:
             self.hits += 1
         kind, base, fc, min_flits = cached
@@ -923,6 +915,12 @@ class GridEvaluator:
         if isinstance(scenario, Mapping):
             scenario = Scenario.from_dict(scenario)
         config = scenario.build()
+        selected = scenario.settings.get("analysis")
+        if selected is not None:
+            # A competing bound, as in scenario_wctt; wctt_summary checks it applies.
+            from .backends import make_analysis_backend
+
+            return make_analysis_backend(selected).wctt_summary(config, packet_flits=packet_flits)
         reason = vector_supported(config)
         if reason is not None:
             # Scalar fallback keeps grid evaluation total over any sweep.
@@ -933,17 +931,7 @@ class GridEvaluator:
             return wctt_summary(
                 make_wctt_analysis(config), flows, packet_flits=packet_flits
             )
-        values = self._values(scenario.to_dict(), config, packet_flits)
-        if not values:
-            raise ValueError("flow set is empty")
-        return WCTTSummary(
-            design="WaW+WaP" if config.is_waw_wap else "regular",
-            mesh=config.topology.short_label(),
-            maximum=max(values),
-            average=mean(values),
-            minimum=min(values),
-            flow_count=len(values),
-        )
+        return _summary_of(self._values(scenario.to_dict(), config, packet_flits), config)
 
 
 def evaluate_grid(
@@ -953,7 +941,8 @@ def evaluate_grid(
 
     ``packet_flits`` may be a single size or one size per scenario.  Design
     points the vector engine does not support transparently fall back to
-    the scalar reference, so the result list is always complete.
+    the scalar reference, so the result list is always complete; a
+    scenario's ``analysis(...)`` selection is evaluated by that backend.
     """
     scenarios = list(scenarios)
     if isinstance(packet_flits, int):

@@ -26,11 +26,12 @@ import io
 import itertools
 import json
 import time
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from . import registry
-from .results import ExperimentResult, ResultEncoder, _plain
+from .results import _PRIMITIVES, ExperimentResult, ResultEncoder, _plain
 
 # Imported after .results on purpose: repro.service.store builds on
 # repro.api.results, so the submodule must already be in sys.modules.
@@ -125,6 +126,8 @@ def _canonical(value: Any) -> Any:
     different dataclasses with equal fields must not collide); everything
     else flattens through the shared :func:`repro.api.results._plain`.
     """
+    if type(value) in _PRIMITIVES:
+        return value
     if isinstance(value, Mapping):
         return {str(k): _canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple, set, frozenset)):

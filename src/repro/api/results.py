@@ -20,12 +20,16 @@ delegated, so ``for row in table2_wctt.run()`` keeps working.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["ExperimentResult", "ResultEncoder", "unwrap"]
+
+#: Exact types :func:`_plain` keeps as they are (enum members of them do not).
+_PRIMITIVES = frozenset({str, int, float, bool, type(None)})
 
 
 class ResultEncoder(json.JSONEncoder):
@@ -179,6 +183,8 @@ def _plain(value: Any) -> Any:
     The single source of truth for value flattening: :class:`ResultEncoder`
     and the engine's config-hash canonicalisation both build on it.
     """
+    if type(value) in _PRIMITIVES:
+        return value
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, Enum):
@@ -189,7 +195,7 @@ def _plain(value: Any) -> Any:
         return sorted((_plain(v) for v in value), key=repr)
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    if isinstance(value, (str, int, float)):  # subclasses, e.g. numpy.float64
         return value
     if hasattr(value, "x") and hasattr(value, "y") and not isinstance(value, type):
         return [value.x, value.y]

@@ -18,7 +18,8 @@ Writes are atomic (unique temp file + ``os.replace``), so concurrent
 writers -- multiple daemons, batch-engine worker pools, parallel CI jobs --
 can share one store without torn reads: a reader either sees a complete
 entry or none at all.  Unreadable, truncated or foreign files are treated
-as absent rather than fatal.
+as absent rather than fatal.  Entries are one line of compact JSON; the
+indented entries of older releases still read (readers ignore whitespace).
 
 The default location is ``~/.cache/repro`` (see :func:`default_store_dir`),
 overridable with the ``REPRO_STORE_DIR`` environment variable; the CLI's
@@ -168,6 +169,8 @@ class ResultStore:
             },
             "result": result.to_dict(),
         }
+        # json.dumps reaches the C encoder (json.dump never does).
+        text = json.dumps(envelope, separators=(",", ":"), cls=ResultEncoder) + "\n"
         with _tmp_lock:
             serial = next(_tmp_counter)
         tmp_path = os.path.join(
@@ -175,8 +178,7 @@ class ResultStore:
         )
         try:
             with open(tmp_path, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle, indent=2, cls=ResultEncoder)
-                handle.write("\n")
+                handle.write(text)
             os.replace(tmp_path, path)
         except OSError as exc:
             try:

@@ -6,11 +6,17 @@ import csv
 import io
 import json
 import os
+from enum import Enum, IntEnum
+from fractions import Fraction
 
 import pytest
 
+import repro
 from repro.api import BatchEngine, BatchJob, config_hash
+from repro.api.engine import _canonical
+from repro.api.results import _plain
 from repro.experiments.runner import main
+from repro.geometry import Coord, Port
 
 
 class TestConfigHash:
@@ -27,6 +33,50 @@ class TestConfigHash:
         config = Scenario.mesh(2).waw_wap().build()
         digest = config_hash(BatchJob("area", {"config": config}))
         assert digest == config_hash(BatchJob("area", {"config": config}))
+
+    #: One value of every kind the flattening distinguishes.
+    EVERY_KIND = {
+        "share": Fraction(3, 4),
+        "port": Port.XPLUS,
+        "flag": True,
+        "missing": None,
+        "rate": 1.5,
+        "sizes": (2, 4),
+        "tags": {"b", "a"},
+        "placement": {3: Coord(1, 2)},
+        "controller": Coord(0, 0),
+    }
+
+    def test_digest_pinned_on_every_value_kind(self, monkeypatch):
+        # A drifting digest would orphan every stored entry, so the
+        # canonical form is pinned literally, not just for determinism.
+        monkeypatch.setattr(repro, "__version__", "pinned")
+        assert config_hash(BatchJob("scenario_wctt", self.EVERY_KIND)) == "49460a1bcd20b55d"
+
+    def test_plain_pinned_on_every_value_kind(self):
+        assert _plain(self.EVERY_KIND) == {
+            "share": "3/4",
+            "port": "X+",
+            "flag": True,
+            "missing": None,
+            "rate": 1.5,
+            "sizes": [2, 4],
+            "tags": ["a", "b"],
+            "placement": {"3": [1, 2]},
+            "controller": [0, 0],
+        }
+
+    def test_enum_members_of_primitive_types_collapse_to_value(self):
+        class Level(IntEnum):
+            HIGH = 2
+
+        class Mode(str, Enum):
+            FAST = "fast"
+
+        for member, value in ((Level.HIGH, 2), (Mode.FAST, "fast")):
+            assert type(_plain(member)) is type(value) and _plain(member) == value
+            assert _canonical(member) == value
+        assert _plain(True) is True and _canonical(False) is False
 
 
 class TestEngineCaching:

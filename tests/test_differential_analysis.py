@@ -1,12 +1,14 @@
 """Differential harness: the vectorized engine vs the scalar reference.
 
 The contract of :mod:`repro.analysis.vector` is *bit-identical integers*
-(and bit-identical float means, since both sides feed the same python ints
-to :func:`statistics.mean`): the numpy kernels are a pure performance
-feature and must never change a single bound.  This file sweeps a wide grid
-of design points and asserts exact equality on every surface the engine
-exposes -- packet maps, message grids in both directions, all-to-one
-summaries, UBD tables and the ``scenario_wctt`` experiment wiring.
+(and bit-identical means: the scalar side takes :func:`statistics.mean` of
+its python ints, the vector side an exact ``divmod`` rule, and the two must
+agree in value and in type -- an ``int`` when the mean is whole): the numpy
+kernels are a pure performance feature and must never change a single
+bound.  This file sweeps a wide grid of design points and asserts exact
+equality on every surface the engine exposes -- packet maps, message grids
+in both directions, all-to-one summaries, UBD tables and the
+``scenario_wctt`` experiment wiring.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ class TestSummaries:
         flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
         scalar = wctt_summary(make_wctt_analysis(config), flows)
         vector = vector_wctt_summary(config)
-        # Dataclass equality covers the float mean bit-for-bit.
-        assert vector == scalar
+        # ``repr`` covers the float mean bit-for-bit and its type: 84 == 84.0
+        # would hide a whole mean stored as a float.
+        assert repr(vector) == repr(scalar)
 
     def test_evaluate_grid_matches_scalar_per_point(self):
         grid = sweep(
@@ -193,7 +196,22 @@ class TestSummaries:
         for scenario, summary in zip(grid, summaries):
             config = scenario.build()
             flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
-            assert summary == wctt_summary(make_wctt_analysis(config), flows)
+            assert repr(summary) == repr(wctt_summary(make_wctt_analysis(config), flows))
+
+    @pytest.mark.parametrize("name", ["holistic", "trajectory"])
+    def test_evaluate_grid_honours_the_scenario_analysis(self, name):
+        # A selected backend is a competing bound: evaluate_grid must give
+        # that backend's summary, as scenario_wctt does, not the paper's.
+        scenario = Scenario.mesh(4).waw_wap().analysis(name)
+        [summary] = evaluate_grid([scenario])
+        expected = make_analysis_backend(name).wctt_summary(scenario.build())
+        assert repr(summary) == repr(expected)
+        [point] = unwrap(scenario_wctt.run(scenario=scenario))
+        assert (point.wctt_max, point.wctt_mean, point.wctt_min) == (
+            summary.maximum,
+            round(summary.average, 2),
+            summary.minimum,
+        )
 
 
 class TestUBDTables:

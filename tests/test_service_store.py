@@ -147,6 +147,51 @@ class TestDurabilityAndEviction:
         assert stats["saved_compute_seconds"] == 3.0
 
 
+class TestEntryLayout:
+    """New entries are one compact line; indented entries of older
+    releases (same envelope, ``indent=2``) still read everywhere."""
+
+    def test_entry_is_one_line_of_compact_json(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        with open(store.put(DIGEST, make_result()), encoding="utf-8") as handle:
+            text = handle.read()
+        assert text.endswith("\n") and text.count("\n") == 1
+        envelope = json.loads(text)
+        assert text == json.dumps(envelope, separators=(",", ":")) + "\n"
+        assert envelope["store_format"] == 1
+
+    def test_indented_entry_still_reads(self, tmp_path):
+        job = BatchJob("table1")
+        digest = config_hash(job)
+        envelope = {
+            "store_format": 1,
+            "meta": {
+                "config_hash": digest,
+                "experiment": "table1",
+                "version": repro.__version__,
+                "created_unix": 1700000000.0,
+                "duration_seconds": 0.75,
+            },
+            # Synthetic rows: a recomputed table1 would not carry them.
+            "result": make_result("table1").to_dict(),
+        }
+        with open(tmp_path / f"{digest}.json", "w", encoding="utf-8") as handle:
+            json.dump(envelope, handle, indent=2)
+            handle.write("\n")
+
+        store = ResultStore(str(tmp_path))
+        assert store.get(digest).rows() == make_result().rows()
+        assert store.entry_meta(digest) == envelope["meta"]
+        assert store.keys() == [digest]
+        stats = store.stats()
+        assert stats["entries"] == 1
+        assert stats["by_experiment"] == {"table1": 1}
+        assert stats["saved_compute_seconds"] == 0.75
+        [outcome] = BatchEngine(store=store).run_many([job])
+        assert outcome.cached
+        assert outcome.result.rows() == make_result().rows()
+
+
 def _hammer_writes(root: str, digest: str, rows: int, count: int) -> None:
     """Child-process body: repeatedly overwrite one entry."""
     from repro.api import ExperimentResult
