@@ -2,9 +2,9 @@
 """Competing analysis backends on one design point, then the full experiment.
 
 The analysis-backend registry makes the WCTT analysis itself a design axis:
-the paper's ``regular`` / ``weighted`` bounds, the flow-aware ``holistic``
-and ``trajectory`` analyses and (where numpy applies) the ``vector`` engine
-all answer the same questions through one interface.  This example
+the paper's ``regular`` / ``weighted`` bounds and the flow-aware
+``holistic`` and ``trajectory`` analyses all answer the same questions
+through one interface.  This example
 
 1. bounds one victim flow of a 4x4 WaW+WaP design with every applicable
    backend, on the full all-to-one workload and on a sparse checkerboard

@@ -3,12 +3,14 @@
 Mirror of :mod:`repro.sim.backend` for the *analytical* side of the repo: a
 backend owns one way of bounding worst-case traversal times -- nothing else.
 The bound mathematics stay in :mod:`repro.core.wctt_regular`,
-:mod:`repro.core.wctt_weighted`, :mod:`repro.analysis.flowaware` and
-:mod:`repro.analysis.vector`; a backend adapts one of them to a small,
-uniform surface (``supports``, ``analysis``, ``wctt_packet``,
-``wctt_message``, ``wctt_map``, ``wctt_summary``), so competing analyses can
-be swept side by side over the same design points and cross-checked against
-each other and against simulation.
+:mod:`repro.core.wctt_weighted` and :mod:`repro.analysis.flowaware`; a
+backend adapts one of them to a small, uniform surface (``supports``,
+``analysis``, ``wctt_packet``, ``wctt_message``, ``wctt_map``,
+``wctt_summary``), so competing analyses can be swept side by side over the
+same design points and cross-checked against each other and against
+simulation.  The numpy kernels of :mod:`repro.analysis.vector` are not a
+backend: they compute the ``regular``/``weighted`` bounds bit for bit
+(see :func:`make_analysis_backend`).
 
 Registered backends:
 
@@ -26,11 +28,6 @@ Registered backends:
 ``trajectory``
     Flow-set-aware path-following accumulation
     (:class:`~repro.analysis.flowaware.TrajectoryAnalysis`).
-``vector``
-    The numpy-vectorized engine of :mod:`repro.analysis.vector`; available
-    only where :func:`~repro.analysis.vector.vector_supported` says so
-    (numpy installed, plain XY mesh, no overflow risk) and bit-identical to
-    ``regular``/``weighted`` there.
 
 Every backend additionally exposes ``validation_analysis`` /
 ``validation_bound``: the *burst-safe* variant of its bound, sound even
@@ -215,7 +212,6 @@ _ALIASES: Dict[str, str] = {
     "regular-mesh": "regular",
     "waw_wap": "weighted",
     "waw-wap": "weighted",
-    "numpy": "vector",
 }
 #: Backends are stateless, so one instance per class suffices.
 _INSTANCES: Dict[str, AnalysisBackend] = {}
@@ -261,6 +257,10 @@ def make_analysis_backend(
     them, because weighted arbitration breaks its round-robin premise, while
     ``make_wctt_analysis``, ``scenario_wctt`` (design ``waw``) and
     :class:`~repro.core.ubd.UBDTable` still serve the regular bound there.
+
+    No name selects the numpy kernels of :mod:`repro.analysis.vector`:
+    ``scenario_wctt``, ``evaluate_grid`` and ``UBDTable`` take them on their
+    own wherever :func:`~repro.analysis.vector.vector_supported` allows.
     """
     if spec is None:
         return _paper_backend()
@@ -390,130 +390,6 @@ class TrajectoryAnalysisBackend(_FlowAwareBackend):
     name = "trajectory"
     description = "flow-aware path-following accumulation (one service per crossing flow)"
     _analysis_cls = TrajectoryAnalysis
-
-
-# ----------------------------------------------------------------------
-# The numpy-vectorized engine
-# ----------------------------------------------------------------------
-@register_analysis_backend
-class VectorAnalysisBackend(AnalysisBackend):
-    """The numpy array engine -- bit-identical to the paper pair where it
-    applies, evaluated grid-at-a-time."""
-
-    name = "vector"
-    description = "numpy-vectorized paper bounds (grid-at-a-time, plain XY mesh only)"
-
-    def supports(self, config: NoCConfig) -> Optional[str]:
-        from .vector import vector_supported
-
-        # vector_supported reports "numpy is not installed" itself when the
-        # import guard tripped, so one delegation covers every reason.
-        return vector_supported(config)
-
-    def analysis(
-        self,
-        config: NoCConfig,
-        *,
-        destination: Optional[Coord] = None,
-        flow_set: Optional[FlowSet] = None,
-        weight_table: Optional[WeightTable] = None,
-    ):
-        from .vector import make_vector_analysis
-
-        self.require(config)
-        return make_vector_analysis(config, weight_table=weight_table)
-
-    def validation_analysis(
-        self,
-        config: NoCConfig,
-        *,
-        destination: Optional[Coord] = None,
-        flow_set: Optional[FlowSet] = None,
-        weight_table: Optional[WeightTable] = None,
-    ):
-        from .vector import VectorWaWWaPAnalysis
-
-        self.require(config)
-        if not config.is_waw_wap:
-            return self.analysis(config)
-        if weight_table is None:
-            dest = destination if destination is not None else config.memory_controller
-            weight_table = WeightTable.from_flow_set(
-                FlowSet.all_to_one(config.mesh, dest)
-            )
-        return VectorWaWWaPAnalysis(config, weight_table, regulated_contenders=False)
-
-    # The vector analyses expose grid-shaped kernels rather than the scalar
-    # protocol, so the uniform surface is implemented on top of the grids.
-    def wctt_packet(
-        self,
-        config: NoCConfig,
-        source: Coord,
-        destination: Coord,
-        *,
-        packet_flits: Optional[int] = None,
-    ) -> int:
-        grid = self.analysis(config).wctt_grid_to(destination, packet_flits=packet_flits)
-        return int(grid[source.y, source.x])
-
-    def wctt_message(
-        self,
-        config: NoCConfig,
-        source: Coord,
-        destination: Coord,
-        *,
-        payload_flits: int,
-    ) -> int:
-        grid = self.analysis(config).message_grid_to(
-            destination, payload_flits=payload_flits
-        )
-        return int(grid[source.y, source.x])
-
-    def wctt_map(
-        self, config: NoCConfig, destination: Coord, *, packet_flits: int = 1
-    ) -> Dict[Coord, int]:
-        from .vector import vector_wctt_map
-
-        return vector_wctt_map(
-            self.analysis(config), destination, packet_flits=packet_flits
-        )
-
-    def wctt_summary(
-        self,
-        config: NoCConfig,
-        *,
-        destination: Optional[Coord] = None,
-        packet_flits: int = 1,
-        design_label: Optional[str] = None,
-    ) -> WCTTSummary:
-        from .vector import vector_wctt_summary
-
-        self.require(config)
-        if destination is not None and destination != config.memory_controller:
-            return super().wctt_summary(
-                config,
-                destination=destination,
-                packet_flits=packet_flits,
-                design_label=design_label,
-            )
-        return vector_wctt_summary(
-            config, packet_flits=packet_flits, design_label=design_label
-        )
-
-    def validation_bound(
-        self,
-        config: NoCConfig,
-        source: Coord,
-        destination: Coord,
-        *,
-        packet_flits: Optional[int] = None,
-        weight_table: Optional[WeightTable] = None,
-    ) -> int:
-        analysis = self.validation_analysis(
-            config, destination=destination, weight_table=weight_table
-        )
-        grid = analysis.wctt_grid_to(destination, packet_flits=packet_flits)
-        return int(grid[source.y, source.x])
 
 
 class PaperAnalysisBackend(AnalysisBackend):

@@ -83,9 +83,9 @@ def check_bounds(
     with every backend, then simulate the flow once under adversarial
     congestion for ``congestion_cycles`` cycles.
 
-    ``backends`` are scalar analysis-backend names (``None`` = the paper's;
-    not ``vector``); one that does not apply to ``config`` raises the
-    registry's ``ValueError`` before anything is simulated.
+    ``backends`` are analysis-backend names (``None`` = the paper's); one
+    that does not apply to ``config`` raises the registry's ``ValueError``
+    before anything is simulated.
     ``background_sources`` restricts the adversary to a sparse workload,
     whose flow set (those sources towards ``destination``) the analyses see.
     """

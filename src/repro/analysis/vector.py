@@ -14,9 +14,9 @@ grid at once:
   column suffix at ``x = dx``, so the per-source WCTT map decomposes into
   one O(height) column chain plus row-wise prefix sums -- a handful of
   cumulative sums instead of a route walk per flow;
-* message bounds follow by broadcast arithmetic (WaW: first slice plus
-  ``(k - 1)`` bottleneck rounds via cumulative maxima; regular: the bound
-  is affine in the packet's own flit count).
+* WaW+WaP message bounds follow by broadcast arithmetic (first slice plus
+  ``(k - 1)`` bottleneck rounds via cumulative maxima); the regular packet
+  bound is affine in the packet's own flit count.
 
 Exactness is non-negotiable: the vectorized engine must produce
 *bit-identical integers* to the scalar path (the differential harness
@@ -38,12 +38,13 @@ Two facts make that possible:
 
 Scope: edge-bounded meshes (plain :class:`~repro.geometry.Mesh`,
 :class:`~repro.topology.mesh.Mesh2D`,
-:class:`~repro.topology.concentrated.ConcentratedMesh`) with XY routing
-and the ``merging`` contender policy.  Everything else (torus, ring, YX,
-``any_direction``) falls back to the scalar reference --
-:func:`vector_supported` is the single gatekeeper the wiring in
-:mod:`repro.experiments.scenario_wctt` and :class:`repro.core.ubd.UBDTable`
-consults.
+:class:`~repro.topology.concentrated.ConcentratedMesh`) with XY routing,
+under the ``merging`` contender policy that the paper's analyses use.
+Everything else (torus, ring, YX) falls back to the scalar reference.  No
+caller chooses between the two paths: :func:`vector_supported` is the
+single gatekeeper that :mod:`repro.experiments.scenario_wctt`,
+:class:`GridEvaluator` / :func:`evaluate_grid` and
+:class:`repro.core.ubd.UBDTable` consult.
 """
 
 from __future__ import annotations
@@ -159,15 +160,13 @@ def weight_count_arrays(
 # ----------------------------------------------------------------------
 # Support predicate
 # ----------------------------------------------------------------------
-def vector_supported(
-    config: NoCConfig, *, contender_policy: str = "merging"
-) -> Optional[str]:
+def vector_supported(config: NoCConfig) -> Optional[str]:
     """Why ``config`` cannot take the vectorized path (``None`` = it can).
 
     The single gatekeeper for all auto-wiring: a non-``None`` return is a
     human-readable reason (missing numpy, wrap-around links, YX routing,
-    ``any_direction`` policy, int64 overflow risk) and the caller must use
-    the scalar reference instead.
+    int64 overflow risk) and the caller must use the scalar reference
+    instead.
     """
     if not HAS_NUMPY:
         return "numpy is not installed"
@@ -179,8 +178,6 @@ def vector_supported(
         return f"unsupported topology kind {kind!r}"
     if topology.routing.axes[0] != "x":
         return "only XY routing is vectorized"
-    if contender_policy != "merging":
-        return f"contender policy {contender_policy!r} is not vectorized"
     if config.is_waw_wap:
         # Conservative per-hop ceiling: every port round is at most the
         # all-to-all total times the concentration, every input may owe a
@@ -718,20 +715,6 @@ class VectorRegularAnalysis:
         grid[destination.y, destination.x] = 0
         return grid
 
-    def message_grid_to(self, destination: Coord, *, payload_flits: int):
-        """Whole-message WCTT (maximum-size packets plus one remainder)."""
-        if payload_flits < 1:
-            raise ValueError("payload_flits must be >= 1")
-        max_flits = self.config.max_packet_flits
-        full, rest = divmod(payload_flits, max_flits)
-        grid = np.zeros((self.mesh.height, self.mesh.width), dtype=object)
-        if full:
-            grid = grid + full * self.wctt_grid_to(destination, packet_flits=max_flits)
-        if rest:
-            grid = grid + self.wctt_grid_to(destination, packet_flits=rest)
-        grid[destination.y, destination.x] = 0
-        return grid
-
 
 # ----------------------------------------------------------------------
 # Front-end mirroring repro.core.wctt
@@ -739,20 +722,12 @@ class VectorRegularAnalysis:
 VectorAnalysisType = Union[VectorWaWWaPAnalysis, VectorRegularAnalysis]
 
 
-def make_vector_analysis(
-    config: NoCConfig,
-    *,
-    weight_table: Optional[WeightTable] = None,
-    contender_packet_flits: Optional[int] = None,
-) -> VectorAnalysisType:
+def make_vector_analysis(config: NoCConfig) -> VectorAnalysisType:
     """Vector counterpart of :func:`repro.core.wctt.make_wctt_analysis`."""
     if config.is_waw_wap:
-        return VectorWaWWaPAnalysis(config, weight_table)
-    if contender_packet_flits is None and config.is_wap:
-        contender_packet_flits = config.min_packet_flits
-    return VectorRegularAnalysis(
-        config, contender_packet_flits=contender_packet_flits
-    )
+        return VectorWaWWaPAnalysis(config)
+    contender = config.min_packet_flits if config.is_wap else None
+    return VectorRegularAnalysis(config, contender_packet_flits=contender)
 
 
 def _grid_values(grid, mesh: Mesh, destination: Coord) -> List[int]:
@@ -762,14 +737,14 @@ def _grid_values(grid, mesh: Mesh, destination: Coord) -> List[int]:
     return values
 
 
-def _summary_of(values: List[int], config: NoCConfig, label: Optional[str] = None) -> WCTTSummary:
+def _summary_of(values: List[int], config: NoCConfig) -> WCTTSummary:
     """Max/mean/min of ``values`` (the mean rule: :func:`vector_wctt_summary`)."""
     if not values:
         raise ValueError("flow set is empty")
     total, count = sum(values), len(values)
     whole, rest = divmod(total, count)
     return WCTTSummary(
-        design=label if label is not None else ("WaW+WaP" if config.is_waw_wap else "regular"),
+        design="WaW+WaP" if config.is_waw_wap else "regular",
         mesh=config.topology.short_label(),
         maximum=max(values),
         average=whole if rest == 0 else total / count,
@@ -787,13 +762,7 @@ def vector_wctt_map(
     return dict(zip(sources, _grid_values(grid, analysis.mesh, destination)))
 
 
-def vector_wctt_summary(
-    config: NoCConfig,
-    *,
-    packet_flits: int = 1,
-    design_label: Optional[str] = None,
-    weight_table: Optional[WeightTable] = None,
-) -> WCTTSummary:
+def vector_wctt_summary(config: NoCConfig, *, packet_flits: int = 1) -> WCTTSummary:
     """All-to-one WCTT summary, bit-identical to the scalar pipeline.
 
     Equivalent to ``wctt_summary(make_wctt_analysis(config),
@@ -802,10 +771,10 @@ def vector_wctt_summary(
     exact rule without its ``Fraction`` arithmetic: an ``int`` when whole, else
     the correctly rounded ``total / count``, so its type and rounding match too.
     """
-    analysis = make_vector_analysis(config, weight_table=weight_table)
+    analysis = make_vector_analysis(config)
     destination = config.memory_controller
     grid = analysis.wctt_grid_to(destination, packet_flits=packet_flits)
-    return _summary_of(_grid_values(grid, analysis.mesh, destination), config, design_label)
+    return _summary_of(_grid_values(grid, analysis.mesh, destination), config)
 
 
 def vector_ubd_entries(

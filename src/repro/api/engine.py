@@ -268,25 +268,28 @@ class BatchEngine:
         """Run all jobs, fanning cache misses out over the worker pool.
 
         Results come back in job order.  Duplicate jobs in one batch are
-        computed once.
+        looked up in the cache once and computed at most once.
         """
         jobs = list(jobs)
-        hashes = [config_hash(job) for job in jobs]
+        positions: Dict[str, List[int]] = {}
+        for index, job in enumerate(jobs):
+            positions.setdefault(config_hash(job), []).append(index)
         results: Dict[int, BatchResult] = {}
 
         pending: Dict[str, List[int]] = {}
-        for index, (job, digest) in enumerate(zip(jobs, hashes)):
+        for digest, indices in positions.items():
             cached = self._cache_lookup(digest) if self.use_cache else None
-            if cached is not None:
+            if cached is None:
+                pending[digest] = indices
+                continue
+            for index in indices:
                 results[index] = BatchResult(
-                    job=job,
+                    job=jobs[index],
                     result=cached,
                     config_hash=digest,
                     cached=True,
                     duration_seconds=0.0,
                 )
-            else:
-                pending.setdefault(digest, []).append(index)
 
         unique_jobs = [(digest, jobs[indices[0]]) for digest, indices in pending.items()]
         computed = self._compute([job for _, job in unique_jobs])

@@ -119,9 +119,20 @@ class ExperimentResult:
                     header.append(key)
         return header, [[_csv_cell(row.get(key, "")) for key in header] for row in dict_rows]
 
+    @staticmethod
+    def is_dict_form(data: Any) -> bool:
+        """Whether ``data`` has the shape of :meth:`to_dict`, which is what
+        :meth:`from_dict` rebuilds: an object whose ``params`` is an object
+        and whose ``rows`` is a list of objects (either may be missing)."""
+        if not isinstance(data, dict) or not isinstance(data.get("params", {}), dict):
+            return False
+        rows = data.get("rows", [])
+        return isinstance(rows, list) and all(isinstance(row, dict) for row in rows)
+
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentResult":
-        """Rebuild a (rows-only) result from its :meth:`to_dict` form.
+        """Rebuild a (rows-only) result from its :meth:`to_dict` form
+        (``data`` must pass :meth:`is_dict_form`).
 
         Used by the batch engine's persistent cache: the native payload is
         not reconstructed, the flattened rows become the payload instead.

@@ -181,13 +181,15 @@ class Scenario:
         """Select the analysis backend bounding this design point's WCTTs.
 
         ``name`` is a registered :mod:`repro.analysis` backend (``regular``,
-        ``weighted``, ``holistic``, ``trajectory``, ``vector``); ``None``
-        removes the selection again, restoring the default -- the paper's
-        analysis pair, dispatched on the design point.  Unlike the
-        simulation :meth:`backend`, the analysis choice *does* change
-        numbers: backends are competing bounds of different tightness (each
-        validated for soundness by ``tests/test_backend_soundness.py`` and
-        the ``bound_comparison`` experiment).
+        ``weighted``, ``holistic``, ``trajectory``); ``None`` removes the
+        selection again, restoring the default -- the paper's analysis pair,
+        dispatched on the design point.  No name selects the numpy kernels
+        of :mod:`repro.analysis.vector`, which compute the paper's bounds bit
+        for bit wherever they apply.  Unlike the simulation :meth:`backend`,
+        the analysis choice *does* change numbers: backends are competing
+        bounds of different tightness (each validated for soundness by
+        ``tests/test_backend_soundness.py`` and the ``bound_comparison``
+        experiment).
         """
         if name is None:
             merged = dict(self._settings)
@@ -579,10 +581,9 @@ def sweep(base: Optional[Scenario] = None, **grid: Any) -> List[Scenario]:
     Axes: ``mesh``, ``design``, ``topology`` (kind names or mappings like
     ``{"kind": "cmesh", "concentration": 2}``), ``backend`` (simulation
     backend name, ``cycle`` or ``event``), ``analysis`` (analysis backend
-    name, e.g. ``regular``/``weighted``/``holistic``/``trajectory``/
-    ``vector``), ``max_packet_flits``,
-    ``min_packet_flits``, ``buffer_depth`` and ``memory_controller`` (an
-    ``(x, y)`` pair).
+    name: ``regular``/``weighted``/``holistic``/``trajectory``),
+    ``max_packet_flits``, ``min_packet_flits``, ``buffer_depth`` and
+    ``memory_controller`` (an ``(x, y)`` pair).
 
     Mesh axis values are square sizes; a bare 2-tuple of ints is two square
     sizes (``mesh=(8, 4)`` is an 8x8 and a 4x4).  Rectangular meshes must be

@@ -71,17 +71,17 @@ class UBDEntry:
 class UBDTable:
     """Per-core upper bound delays for one NoC design point.
 
-    ``engine`` selects how the table is filled: ``"auto"`` (default) uses
-    the vectorized WaW+WaP kernels of :mod:`repro.analysis.vector` when the
-    design point supports them (four message grids replace the per-core
-    route walks) and falls back to the scalar analysis otherwise;
-    ``"scalar"`` forces the reference path.  Both fill the table with
-    bit-identical values (``tests/test_differential_analysis.py``).
+    A table over a WaW+WaP analysis is filled from the vectorized kernels of
+    :mod:`repro.analysis.vector` wherever
+    :func:`~repro.analysis.vector.vector_supported` allows (four message
+    grids replace the per-core route walks) and by the scalar analysis
+    everywhere else; both give bit-identical values
+    (``tests/test_differential_analysis.py``).
 
     ``backend`` selects a registered :class:`~repro.analysis.AnalysisBackend`
-    by name (``regular``, ``weighted``, ``holistic``, ``trajectory``,
-    ``vector``) to compute the WCTT legs with; the default ``None`` keeps
-    the paper's analysis for the design point.  The analysis is built over
+    by name (``regular``, ``weighted``, ``holistic``, ``trajectory``) to
+    compute the WCTT legs with; the default ``None`` keeps the paper's
+    analysis for the design point.  The analysis is built over
     the table's request/reply memory-traffic flow set, so flow-aware
     backends bound exactly the traffic the table describes.  Mutually
     exclusive with passing a ready ``analysis`` object.
@@ -94,13 +94,9 @@ class UBDTable:
         memory: Optional[MemoryTiming] = None,
         analysis: Optional[AnalysisType] = None,
         weight_table: Optional[WeightTable] = None,
-        engine: str = "auto",
         backend: Optional[str] = None,
     ):
-        if engine not in ("auto", "scalar"):
-            raise ValueError(f"engine must be 'auto' or 'scalar', got {engine!r}")
         self.config = config
-        self.engine = engine
         self.memory = memory if memory is not None else MemoryTiming()
         if backend is not None and analysis is not None:
             raise ValueError("pass either backend= or analysis=, not both")
@@ -129,15 +125,6 @@ class UBDTable:
 
         resolved = make_analysis_backend(backend)
         resolved.require(self.config)
-        if resolved.name == "vector":
-            # The vector engine is the bit-identical fast path of the paper's
-            # pair; the table uses the same scalar analysis object and lets
-            # the (already required-supported) auto vector build fill it.
-            if self.config.is_waw_wap and weight_table is None:
-                from .wctt_weighted import WaWWaPWCTTAnalysis
-
-                return WaWWaPWCTTAnalysis.for_memory_traffic(self.config)
-            return make_wctt_analysis(self.config, weight_table=weight_table)
         from .flows import FlowSet
 
         mesh = self.config.mesh
@@ -153,7 +140,7 @@ class UBDTable:
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        if self.engine == "auto" and self._vector_build():
+        if self._vector_build():
             return
         mesh = self.config.mesh
         mc = self.config.memory_controller

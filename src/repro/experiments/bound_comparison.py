@@ -6,10 +6,7 @@ evaluated over the same topology x workload x packet-size grid, and every
 bound is cross-checked against the worst probe traversal the cycle-accurate
 simulator observes under the most adversarial congestion it can express for
 that design point (:func:`repro.analysis.validation.check_bounds`, the
-soundness check experiment E9 shares).  The vector backend is deliberately
-absent from the rows: it is bit-identical to the paper pair by contract
-(``tests/test_differential_analysis.py``) and its inclusion would make the
-pinned golden output depend on numpy.
+soundness check experiment E9 shares).
 
 Two disciplines shape the run:
 
@@ -49,8 +46,7 @@ from ..geometry import Coord
 
 __all__ = ["ComparisonRow", "run", "report"]
 
-#: Backends compared per design (the vector backend is excluded by design --
-#: see the module docstring).
+#: Backends compared per design.
 DESIGN_BACKENDS: Dict[str, Tuple[str, ...]] = {
     "regular": ("regular", "holistic", "trajectory"),
     "waw_wap": ("weighted", "holistic", "trajectory"),

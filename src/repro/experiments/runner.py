@@ -37,8 +37,8 @@ outcome the same way: failed design points on stderr and exit status 1.
 the experiments that drive the cycle-accurate simulator; both backends
 produce identical results, ``event`` skips idle cycles and is much faster.
 ``--analysis`` selects the analysis backend (``regular``, ``weighted``,
-``holistic``, ``trajectory``, ``vector``) for the experiments that accept
-one (currently ``scenario_wctt``).
+``holistic``, ``trajectory``) for the experiments that accept one
+(currently ``scenario_wctt``).
 """
 
 from __future__ import annotations

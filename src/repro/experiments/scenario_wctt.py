@@ -61,7 +61,7 @@ class ScenarioWCTTPoint:
 
 
 #: Accepted values for the ``engine`` parameter of :func:`run`.
-ENGINES = ("auto", "vector", "scalar")
+ENGINES = ("auto", "scalar")
 
 
 @experiment(
@@ -88,22 +88,20 @@ def run(
     form (the shape a daemon submission travels in); the default is the
     4x4 WaW+WaP mesh.  ``packet_flits`` is the analysed packet length.
 
-    ``engine`` selects the evaluation path: ``"auto"`` (default) uses the
-    numpy-vectorized engine of :mod:`repro.analysis.vector` whenever the
-    design point supports it and falls back to the scalar analysis
-    otherwise; ``"vector"`` demands the vectorized path (raises with the
-    reason when unsupported); ``"scalar"`` forces the per-flow reference
-    path.  Both paths produce bit-identical summaries (enforced by
-    ``tests/test_differential_analysis.py``), so the flag never changes
-    results -- only throughput.
+    The default path evaluates the paper's bound with the numpy kernels of
+    :mod:`repro.analysis.vector` wherever
+    :func:`~repro.analysis.vector.vector_supported` allows and with the
+    scalar analysis everywhere else; both give bit-identical summaries
+    (``tests/test_differential_analysis.py``).  ``engine="scalar"`` forces
+    the per-flow scalar path; the benchmark's held-back reference check
+    uses it.
 
     ``analysis`` selects a registered :class:`~repro.analysis.AnalysisBackend`
-    (``regular``, ``weighted``, ``holistic``, ``trajectory``, ``vector``)
-    instead of the paper's default dispatch; the scenario's own
-    ``Scenario.analysis(...)`` selection is honoured when the parameter is
-    left ``None``.  Unlike ``engine`` this *changes numbers* -- backends are
-    competing bounds -- so an explicit backend takes precedence over the
-    engine flag.
+    (``regular``, ``weighted``, ``holistic``, ``trajectory``) instead of the
+    paper's default dispatch; the scenario's own ``Scenario.analysis(...)``
+    selection is honoured when the parameter is left ``None``.  Unlike
+    ``engine`` this *changes numbers* -- backends are competing bounds -- so
+    an explicit backend takes precedence over the engine flag.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -130,10 +128,7 @@ def run(
     else:
         from ..analysis.vector import vector_supported, vector_wctt_summary
 
-        reason = vector_supported(config)
-        if engine == "vector" and reason is not None:
-            raise ValueError(f"engine='vector' cannot evaluate this scenario: {reason}")
-        if engine != "scalar" and reason is None:
+        if engine == "auto" and vector_supported(config) is None:
             summary = vector_wctt_summary(config, packet_flits=packet_flits)
         else:
             flows = FlowSet.all_to_one(config.mesh, config.memory_controller)

@@ -17,8 +17,8 @@ serialized :class:`~repro.api.results.ExperimentResult`::
 Writes are atomic (unique temp file + ``os.replace``), so concurrent
 writers -- multiple daemons, batch-engine worker pools, parallel CI jobs --
 can share one store without torn reads: a reader either sees a complete
-entry or none at all.  Unreadable, truncated or foreign files are treated
-as absent rather than fatal.  Entries are one line of compact JSON; the
+entry or none at all.  Unreadable, truncated, malformed or foreign files
+are treated as absent rather than fatal.  Entries are one line of compact JSON; the
 indented entries of older releases still read (readers ignore whitespace).
 
 The default location is ``~/.cache/repro`` (see :func:`default_store_dir`),
@@ -254,7 +254,9 @@ class ResultStore:
                 pass
             experiment = str(envelope["result"].get("experiment", "?"))
             by_experiment[experiment] = by_experiment.get(experiment, 0) + 1
-            compute_seconds += float(envelope["meta"].get("duration_seconds", 0.0) or 0.0)
+            duration = envelope["meta"].get("duration_seconds")
+            if isinstance(duration, (int, float)):
+                compute_seconds += duration
         lookups = self.hits + self.misses
         return {
             "root": self.root,
@@ -277,19 +279,22 @@ class ResultStore:
         return os.path.join(self.root, f"{_check_digest(digest)}{_SUFFIX}")
 
     def _read(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The parsed envelope for ``digest``, or None for anything else."""
+        """The parsed envelope for ``digest``, or None for anything else.
+
+        An envelope whose result fails :meth:`ExperimentResult.is_dict_form`
+        is "anything else" too, so that every read surface agrees the entry
+        is absent and the next :meth:`put` overwrites it.
+        """
         path = self._path(digest)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
         except (OSError, ValueError):
             return None
-        if not isinstance(data, dict):
+        if not isinstance(data, dict) or "store_format" not in data:
             return None
-        if "store_format" in data and "result" in data:
-            meta = data.get("meta")
-            return {
-                "meta": meta if isinstance(meta, dict) else {},
-                "result": data["result"] if isinstance(data["result"], dict) else {},
-            }
-        return None
+        result = data.get("result")
+        if not ExperimentResult.is_dict_form(result):
+            return None
+        meta = data.get("meta")
+        return {"meta": meta if isinstance(meta, dict) else {}, "result": result}

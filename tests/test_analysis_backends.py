@@ -1,15 +1,14 @@
 """The AnalysisBackend registry and the competing flow-aware analyses.
 
-Everything here runs without numpy: the ``vector`` backend is only exercised
-through its ``supports`` predicate (which reports "numpy is not installed"
-when the import guard tripped) so the scalar fallback paths stay covered by
-the no-numpy CI job.
+Everything here runs without numpy, so the scalar paths stay covered by the
+no-numpy CI job.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis import vector
 from repro.analysis.backends import (
     AnalysisBackend,
     HolisticAnalysisBackend,
@@ -36,6 +35,7 @@ from repro.core import (
 )
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.experiments import scenario_wctt
+from repro.experiments.runner import main
 from repro.geometry import Coord
 
 
@@ -48,7 +48,6 @@ class TestRegistry:
             "holistic",
             "regular",
             "trajectory",
-            "vector",
             "weighted",
         ]
 
@@ -58,7 +57,6 @@ class TestRegistry:
             ("regular-mesh", "regular"),
             ("waw_wap", "weighted"),
             ("waw-wap", "weighted"),
-            ("numpy", "vector"),
             ("holistic", "holistic"),
         ],
     )
@@ -68,6 +66,22 @@ class TestRegistry:
     def test_unknown_name_lists_known_backends(self):
         with pytest.raises(ValueError, match="holistic.*trajectory"):
             normalize_analysis_backend_name("bogus")
+
+    def test_vector_names_fail_loudly(self, capsys):
+        # The numpy kernels are not a backend: the paths that can use them
+        # do so on their own, so neither old name may resolve anywhere.
+        known = "known backends: holistic, regular, trajectory, weighted"
+        for name in ("vector", "numpy"):
+            with pytest.raises(ValueError, match=known):
+                make_analysis_backend(name)
+        with pytest.raises(ScenarioError, match=known):
+            Scenario.mesh(3).analysis("vector")
+        with pytest.raises(ValueError, match=known):
+            UBDTable(waw_wap_config(3, 3), backend="vector")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "scenario_wctt", "--analysis", "vector"])
+        assert exit_info.value.code == 2
+        assert known in capsys.readouterr().err
 
     def test_make_is_singleton_per_name(self):
         assert make_analysis_backend("holistic") is make_analysis_backend("holistic")
@@ -132,13 +146,15 @@ class TestSupports:
         with pytest.raises(ValueError, match="does not apply"):
             make_analysis_backend("regular").analysis(waw_wap_config(3, 3))
 
-    def test_vector_supports_delegates_with_reasons(self):
-        backend = make_analysis_backend("vector")
+    def test_vector_gate_gives_reasons(self):
+        # The paths that use the numpy kernels ask vector_supported first;
+        # without numpy it refuses every design point and says why.
         torus = Scenario.mesh(3).waw_wap().topology("torus").build()
-        reason = backend.supports(torus)
-        # Without numpy the guard reports the missing dependency instead of
-        # the topology; both are valid refusals for the torus.
+        reason = vector.vector_supported(torus)
         assert reason is not None and ("numpy" in reason or "wrap-around" in reason)
+        assert vector.vector_supported(waw_wap_config(3, 3)) == (
+            None if vector.HAS_NUMPY else "numpy is not installed"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +280,7 @@ class TestWiring:
         assert rebuilt.settings == scenario.settings
 
     def test_scenario_analysis_resolves_aliases_and_rejects_unknowns(self):
-        assert Scenario.mesh(3).analysis("numpy").settings["analysis"] == "vector"
+        assert Scenario.mesh(3).analysis("waw-wap").settings["analysis"] == "weighted"
         assert "analysis" not in Scenario.mesh(3).analysis(None).settings
         with pytest.raises(ScenarioError, match="known backends"):
             Scenario.mesh(3).analysis("bogus")

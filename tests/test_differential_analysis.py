@@ -13,12 +13,14 @@ in both directions, all-to-one summaries, UBD tables and the
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.analysis import vector
 from repro.analysis.vector import (
     VectorRegularAnalysis,
     VectorWaWWaPAnalysis,
@@ -53,6 +55,15 @@ from repro.topology import ConcentratedMesh
 
 MESHES = [(2, 2), (3, 3), (4, 4), (5, 3), (3, 5), (1, 5), (5, 1)]
 CONFIG_FNS = {"regular": regular_mesh_config, "waw_wap": waw_wap_config}
+
+
+@contextlib.contextmanager
+def _scalar_only(monkeypatch):
+    """Context in which ``vector_supported`` refuses every design point, so
+    every auto-wired path takes the scalar reference."""
+    with monkeypatch.context() as patch:
+        patch.setattr(vector, "vector_supported", lambda config: "refused by the test")
+        yield
 
 
 def _destinations(mesh: Mesh):
@@ -158,20 +169,6 @@ class TestMessageGrids:
                 mc, node, payload_flits=payload
             )
 
-    @pytest.mark.parametrize("payload", [1, 3, 4, 9])
-    def test_regular_message_to(self, payload):
-        config = regular_mesh_config(4, 3)
-        scalar = make_wctt_analysis(config)
-        vector = make_vector_analysis(config)
-        for destination in _destinations(config.mesh):
-            grid = vector.message_grid_to(destination, payload_flits=payload)
-            for node in config.mesh.nodes():
-                if node == destination:
-                    continue
-                assert int(grid[node.y, node.x]) == scalar.wctt_message(
-                    node, destination, payload_flits=payload
-                )
-
 
 class TestSummaries:
     @pytest.mark.parametrize("width,height", MESHES)
@@ -216,15 +213,17 @@ class TestSummaries:
 
 class TestUBDTables:
     @pytest.mark.parametrize("width,height", [(2, 2), (4, 4), (5, 3)])
-    def test_auto_equals_scalar_engine(self, width, height):
+    def test_auto_equals_scalar_engine(self, width, height, monkeypatch):
         config = waw_wap_config(width, height)
         auto = UBDTable(config)
-        scalar = UBDTable(config, engine="scalar")
+        with _scalar_only(monkeypatch):
+            scalar = UBDTable(config)
         assert auto.as_dict() == scalar.as_dict()
 
-    def test_vector_entries_match_scalar_build(self):
+    def test_vector_entries_match_scalar_build(self, monkeypatch):
         config = waw_wap_config(4, 4)
-        scalar = UBDTable(config, engine="scalar")
+        with _scalar_only(monkeypatch):
+            scalar = UBDTable(config)
         analysis = WaWWaPWCTTAnalysis.for_memory_traffic(config)
         entries = vector_ubd_entries(
             config,
@@ -234,15 +233,19 @@ class TestUBDTables:
         )
         assert entries == scalar.as_dict()
 
-    def test_regular_design_still_scalar(self):
+    def test_regular_design_still_scalar(self, monkeypatch):
         # The auto path only applies to WaW+WaP analyses; a regular design
         # must keep producing the reference table.
         config = regular_mesh_config(3, 3)
-        assert UBDTable(config).as_dict() == UBDTable(config, engine="scalar").as_dict()
+        with _scalar_only(monkeypatch):
+            scalar = UBDTable(config)
+        assert UBDTable(config).as_dict() == scalar.as_dict()
 
-    def test_unsupported_topology_falls_back(self):
+    def test_unsupported_topology_falls_back(self, monkeypatch):
         config = Scenario.mesh(4).waw_wap().topology("torus").build()
-        assert UBDTable(config).as_dict() == UBDTable(config, engine="scalar").as_dict()
+        with _scalar_only(monkeypatch):
+            scalar = UBDTable(config)
+        assert UBDTable(config).as_dict() == scalar.as_dict()
 
 
 class TestExperimentWiring:
@@ -253,17 +256,7 @@ class TestExperimentWiring:
             engine: unwrap(scenario_wctt.run(scenario=scenario, engine=engine))
             for engine in scenario_wctt.ENGINES
         }
-        assert results["vector"] == results["scalar"] == results["auto"]
-
-    def test_engine_vector_raises_with_reason_on_torus(self):
-        scenario = Scenario.mesh(4).waw_wap().topology("torus")
-        with pytest.raises(ValueError, match="wrap-around"):
-            scenario_wctt.run(scenario=scenario, engine="vector")
-
-    def test_engine_vector_raises_with_reason_on_yx(self):
-        scenario = Scenario.mesh(4).waw_wap().topology("mesh", routing="yx")
-        with pytest.raises(ValueError, match="XY routing"):
-            scenario_wctt.run(scenario=scenario, engine="vector")
+        assert results["scalar"] == results["auto"]
 
     def test_auto_falls_back_to_scalar_on_unsupported(self):
         scenario = Scenario.mesh(4).waw_wap().topology("torus")
@@ -271,9 +264,20 @@ class TestExperimentWiring:
         scalar = unwrap(scenario_wctt.run(scenario=scenario, engine="scalar"))
         assert auto == scalar
 
+    def test_auto_falls_back_to_scalar_on_yx_routing(self):
+        # The regular kernel refuses YX routing outright, so a default run
+        # that did not fall back would raise instead of matching.
+        scenario = Scenario.mesh(4).regular().topology("mesh", routing="yx")
+        assert "XY" in vector_supported(scenario.build())
+        auto = unwrap(scenario_wctt.run(scenario=scenario))
+        scalar = unwrap(scenario_wctt.run(scenario=scenario, engine="scalar"))
+        assert auto == scalar
+
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            scenario_wctt.run(engine="turbo")
+        # The default path vectorizes by itself, so "vector" is no engine.
+        for engine in ("turbo", "vector"):
+            with pytest.raises(ValueError, match="engine"):
+                scenario_wctt.run(engine=engine)
 
 
 class TestSupportPredicate:
@@ -286,9 +290,6 @@ class TestSupportPredicate:
         assert "wrap-around" in vector_supported(torus)
         yx = Scenario.mesh(4).waw_wap().topology("mesh", routing="yx").build()
         assert "XY" in vector_supported(yx)
-        assert "policy" in vector_supported(
-            waw_wap_config(4, 4), contender_policy="any_direction"
-        )
 
     def test_overflow_guard_refuses_giant_design(self):
         config = waw_wap_config(4, 4, buffer_depth=2**58)
@@ -348,22 +349,23 @@ class TestAnalysisBackendParity:
 
     @pytest.mark.parametrize("width,height", MESHES)
     @pytest.mark.parametrize("design", ["regular", "waw_wap"])
-    def test_vector_backend_matches_paper_backend(self, width, height, design):
+    def test_vector_kernels_match_paper_backend(self, width, height, design):
+        # What the auto-wired paths compute on a supported design point must
+        # be what the registry's paper backend returns for it.
         config = CONFIG_FNS[design](width, height)
         paper = make_analysis_backend(self.BACKEND_FOR_DESIGN[design])
-        vector = make_analysis_backend("vector")
-        assert vector.supports(config) is None
+        assert vector_supported(config) is None
+        kernel = make_vector_analysis(config)
         for destination in _destinations(config.mesh):
-            assert vector.wctt_map(config, destination) == paper.wctt_map(
+            assert vector_wctt_map(kernel, destination) == paper.wctt_map(
                 config, destination
             )
-        assert vector.wctt_summary(config) == paper.wctt_summary(config)
+        assert vector_wctt_summary(config) == paper.wctt_summary(config)
 
-    @pytest.mark.parametrize("backend", ["weighted", "vector"])
-    def test_ubd_backend_bit_identical(self, backend):
+    def test_ubd_backend_bit_identical(self):
         config = waw_wap_config(4, 4)
         assert (
-            UBDTable(config, backend=backend).as_dict() == UBDTable(config).as_dict()
+            UBDTable(config, backend="weighted").as_dict() == UBDTable(config).as_dict()
         )
 
     def test_ubd_regular_backend_bit_identical(self):

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.api import BatchJob, Scenario, config_hash, sweep
+from repro.api import BatchJob, ExperimentResult, Scenario, config_hash, sweep
 from repro.api.registry import _REGISTRY, experiment
 from repro.service import (
     ResultStore,
@@ -288,6 +288,23 @@ class TestServerRobustness:
             assert json.loads(reader.readline())["ok"] is False
             conn.sendall(encode({"op": "ping"}))
             assert json.loads(reader.readline())["pong"] is True
+
+    def test_malformed_store_entry_is_recomputed(self, tmp_path):
+        # An entry whose rows are not objects must read as a store miss,
+        # not fail every submit of its design point.
+        store = ResultStore(str(tmp_path / "store"))
+        job = BatchJob("table1", quick=True)
+        path = store.put(config_hash(job), ExperimentResult("table1", payload=[]))
+        with open(path, encoding="utf-8") as handle:
+            envelope = json.load(handle)
+        envelope["result"]["rows"] = [1]
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(envelope, handle)
+        with start_service_thread(port=0, store_dir=store.root) as handle:
+            response = ServiceClient(port=handle.port).submit([job])
+        assert response["tickets"][0]["source"] == "queued"
+        assert response["results"][0]["rows"]
+        assert store.get(config_hash(job)).rows() == response["results"][0]["rows"]
 
     def test_client_error_when_daemon_is_down(self):
         with socket.socket() as probe:

@@ -192,6 +192,49 @@ class TestEntryLayout:
         assert outcome.result.rows() == make_result().rows()
 
 
+def _edit_envelope(path: str, section: str, key: str, value) -> None:
+    """Overwrite one field of a stored envelope in place."""
+    with open(path, encoding="utf-8") as handle:
+        envelope = json.load(handle)
+    envelope[section][key] = value
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(envelope, handle)
+
+
+class TestMalformedEntries:
+    """A parseable envelope whose result cannot be rebuilt reads as absent
+    on every surface, so one bad entry neither crashes a batch nor
+    outlives the next write of its design point."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("rows", [1]), ("rows", "xyz"), ("rows", None), ("params", [1])],
+        ids=["rows-of-ints", "rows-string", "rows-null", "params-list"],
+    )
+    def test_reads_as_absent_and_is_recomputed(self, tmp_path, field, value):
+        job, sibling = BatchJob("table1"), BatchJob("area")
+        digest = config_hash(job)
+        store = ResultStore(str(tmp_path))
+        _edit_envelope(store.put(digest, make_result("table1")), "result", field, value)
+
+        assert store.get(digest) is None
+        assert digest not in store
+        assert store.entry_meta(digest) is None
+        assert store.keys() == []
+        assert store.stats()["entries"] == 0
+        outcomes = BatchEngine(store=store).run_many([job, sibling])
+        assert [(o.ok, o.cached) for o in outcomes] == [(True, False), (True, False)]
+        assert store.get(digest).rows() == outcomes[0].result.rows()
+
+    def test_non_numeric_duration_does_not_break_stats(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        store.put("0123456789abcdef", make_result(), duration_seconds=1.5)
+        _edit_envelope(store.put(DIGEST, make_result()), "meta", "duration_seconds", "abc")
+        stats = store.stats()
+        assert stats["entries"] == 2
+        assert stats["saved_compute_seconds"] == 1.5
+
+
 def _hammer_writes(root: str, digest: str, rows: int, count: int) -> None:
     """Child-process body: repeatedly overwrite one entry."""
     from repro.api import ExperimentResult
@@ -267,6 +310,12 @@ class TestEngineIntegration:
         assert not first.cached
         second = BatchEngine(store=store).run(BatchJob("table1"))
         assert second.cached
+
+    def test_duplicate_jobs_read_the_store_once(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        outcomes = BatchEngine(store=store).run_many([BatchJob("table1")] * 3)
+        assert (store.misses, store.hits, store.writes) == (1, 0, 1)
+        assert [o.cached for o in outcomes] == [False, True, True]
 
     def test_engine_rejects_store_plus_cache_dir(self, tmp_path):
         with pytest.raises(ValueError, match="store"):

@@ -1,10 +1,11 @@
-"""Deterministic work counters of fixed simulations, pinned exactly.
+"""Deterministic work counters of fixed simulations and analyses, pinned.
 
 Wall-clock ratios cannot run in tier-1, but the work a simulation does can:
 each scenario here is small, seeded and fully deterministic, so a change to
 allocation order, event jumps or active-set stepping moves at least one
 count.  A pinned value may change only with a deliberate change to the
-simulated timing.
+simulated timing.  The same holds for the WCTT analysis: which path a design
+point takes shows in call counts, not in its (bit-identical) bounds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ import hashlib
 import json
 import weakref
 
-from repro.api import Scenario
+import pytest
+
+from repro.analysis import vector
+from repro.api import Scenario, sweep
+from repro.core.wctt_regular import RegularMeshWCTTAnalysis
+from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
+from repro.experiments import scenario_wctt
 from repro.geometry import Coord
 from repro.manycore.system import ManycoreSystem
 from repro.noc.network import Network
@@ -107,3 +114,50 @@ class TestEventBackendWork:
         assert system_steps[0] == 22_733
         assert router_steps[0] == 43_035
         assert forwarded == 25_740
+
+
+#: The benchmark's 1176-point design grid (``SWEEP_GRID`` in perfbench/workloads.py).
+SWEEP_GRID = dict(
+    mesh=[(w, h) for w in range(6, 13) for h in range(6, 13)],
+    design=("regular", "waw_wap"),
+    buffer_depth=(1, 2, 4),
+    max_packet_flits=(2, 4),
+    memory_controller=[(0, 0), (1, 1)],
+)
+
+
+@pytest.mark.skipif(not vector.HAS_NUMPY, reason="numpy is not installed")
+class TestDefaultPathVectorizes:
+    """Both analysis paths give bit-identical bounds, so no golden can see a
+    design point fall back to the scalar path (~34x slower on this grid);
+    the calls it makes show it."""
+
+    def _points(self):
+        grid = sweep(Scenario.mesh(4), **SWEEP_GRID)
+        assert len(grid) == 1176
+        # 49 is coprime with the 24 combinations of the last four axes, so
+        # the slice holds each combination once, on 24 different meshes.
+        return grid[::49]
+
+    def _scalar_calls(self, monkeypatch):
+        return [
+            _count_calls(monkeypatch, analysis, "wctt_packet")
+            for analysis in (RegularMeshWCTTAnalysis, WaWWaPWCTTAnalysis)
+        ]
+
+    def test_scenario_wctt_runs_one_vector_summary_per_point(self, monkeypatch):
+        points = self._points()
+        scalar = self._scalar_calls(monkeypatch)
+        summaries = _count_calls(monkeypatch, vector, "vector_wctt_summary")
+        for scenario in points:
+            scenario_wctt.run(scenario=scenario)
+        assert [calls[0] for calls in scalar] == [0, 0]
+        assert summaries[0] == len(points)
+
+    def test_evaluate_grid_runs_one_kernel_per_point(self, monkeypatch):
+        points = self._points()
+        scalar = self._scalar_calls(monkeypatch)
+        kernels = _count_calls(monkeypatch, vector, "make_vector_analysis")
+        vector.evaluate_grid(points)
+        assert [calls[0] for calls in scalar] == [0, 0]
+        assert kernels[0] == len(points)
