@@ -108,7 +108,7 @@ class FlowAwareWCTTAnalysis:
         self.weights: Optional[WeightTable] = None
         if config.is_waw:
             self.weights = (
-                weight_table
+                weight_table.require_topology(self.topology)
                 if weight_table is not None
                 else WeightTable.from_flow_set(self.flow_set)
             )

@@ -246,7 +246,7 @@ class VectorWaWWaPAnalysis:
         if weight_table is None:
             counts_in, counts_out = closed_form_count_arrays(config.mesh)
         else:
-            counts_in, counts_out = weight_count_arrays(weight_table)
+            counts_in, counts_out = weight_count_arrays(weight_table.require_topology(self.topology))
 
         timing = config.timing
         m = config.min_packet_flits

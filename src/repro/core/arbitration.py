@@ -22,7 +22,8 @@ The WaW arbiter implements the scheme described verbatim in the paper
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..geometry import Port
 
@@ -124,25 +125,37 @@ class RoundRobinArbiter(Arbiter):
 class WeightedRoundRobinArbiter(Arbiter):
     """The WaW arbiter: per-input flit counters with largest-counter-first.
 
-    ``weights`` maps each candidate input port to the number of flits it may
+    ``weights`` gives each candidate input port the number of flits it may
     transmit in one arbitration round (the integer WaW weight, i.e. the
-    number of flows reaching the output through that input).  A port with
+    number of flows reaching the output through that input): either by
+    position in ``candidates`` (how the router builds its arbiters) or as a
+    mapping from port that covers every candidate.  A port with
     weight zero can still be granted when it is the only requester or when
     every contender has exhausted its credits -- the arbiter is work
     conserving -- but it never takes bandwidth away from weighted ports under
     contention.
     """
 
-    def __init__(self, candidates: Sequence[Port], weights: Mapping[Port, int]):
+    def __init__(
+        self, candidates: Sequence[Port], weights: Union[Mapping[Port, int], Sequence[int]]
+    ):
         super().__init__(candidates)
-        missing = [p for p in candidates if p not in weights]
-        if missing:
-            raise ValueError(f"missing weights for ports: {missing}")
-        negative = {p: w for p, w in weights.items() if w < 0}
+        if isinstance(weights, Mapping):
+            missing = [p for p in candidates if p not in weights]
+            if missing:
+                raise ValueError(f"missing weights for ports: {missing}")
+            negative = {p: w for p, w in weights.items() if w < 0}
+            weights = [weights[p] for p in self.candidates]
+        else:
+            if len(weights) != len(self.candidates):
+                raise ValueError(f"{len(weights)} weights for {len(self.candidates)} candidates")
+            negative = min(weights) < 0 and {
+                p: w for p, w in zip(self.candidates, weights) if w < 0
+            }
         if negative:
             raise ValueError(f"weights must be non-negative: {negative}")
         #: Weight of each candidate, by position.
-        self._weights: List[int] = [int(weights[p]) for p in self.candidates]
+        self._weights: List[int] = [int(w) for w in weights]
         #: Current flit credits, by position; start a round with full credits.
         self._credits: List[int] = list(self._weights)
 
@@ -224,8 +237,10 @@ def make_arbiter(
     weighted: bool,
     weights: Optional[Mapping[Port, int]] = None,
 ) -> Arbiter:
-    """Factory used by the router model.
+    """Build an arbiter from ``Port``-keyed weights.
 
+    The router builds its arbiters from per-topology tables instead; this
+    factory is the ``Port``-level reference its tests compare them with.
     ``weights`` is required when ``weighted`` is true; candidates missing
     from the mapping default to weight zero (ports that no flow can use).
     """

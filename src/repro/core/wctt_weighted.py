@@ -90,7 +90,7 @@ class WaWWaPWCTTAnalysis:
         self.mesh: Mesh = config.mesh
         self.topology = config.topology
         self.weights: WeightTable = (
-            weight_table
+            weight_table.require_topology(self.topology)
             if weight_table is not None
             else WeightTable.from_closed_form(config.mesh)
         )

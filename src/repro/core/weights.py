@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..geometry import Coord, Mesh, Port
-from ..topology.base import XY, as_topology
+from ..topology.base import XY, Topology, as_topology
 from .flows import FlowSet
 
 __all__ = [
@@ -252,6 +252,17 @@ class WeightTable:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def require_topology(self, topology: Topology) -> "WeightTable":
+        """This table, if it was built for ``topology``; a ``ValueError``
+        naming both topologies otherwise."""
+        own = as_topology(self.mesh)
+        if own != topology:
+            built, wanted = (
+                f"{t.describe_short()} ({t.routing.name.upper()} routing)" for t in (own, topology)
+            )
+            raise ValueError(f"weight table built for a {built} cannot configure a {wanted}")
+        return self
+
     def counts(self, router: Coord) -> PortCounts:
         self.mesh.require(router)
         try:

@@ -23,15 +23,16 @@ The network exposes a deliberately small API to the layers above it
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.config import NoCConfig
 from ..core.weights import WeightTable
-from ..geometry import Coord, Port
+from ..geometry import Coord, Mesh, Port
 from ..sim import SimulationBackend, make_backend
 from .flit import Message
 from .nic import NIC
-from .router import PORT_INDEX, PORTS, Router
+from .router import PORT_INDEX, PORTS, Router, _layouts
 from .stats import NetworkStats
 
 __all__ = ["Network"]
@@ -39,8 +40,18 @@ __all__ = ["Network"]
 _LOCAL = PORT_INDEX[Port.LOCAL]
 
 
+@lru_cache(maxsize=16)
+def _default_weights(mesh: Mesh) -> WeightTable:
+    """The default WaW table of ``mesh``, built once and shared: nothing mutates a table."""
+    return WeightTable.from_closed_form(mesh)
+
+
 class Network:
-    """A complete wormhole NoC instance on the configured topology."""
+    """A complete wormhole NoC instance on the configured topology.
+
+    A ``weight_table`` must belong to the configured topology; a WaW design
+    without one shares its topology's all-to-all table.
+    """
 
     def __init__(
         self,
@@ -55,10 +66,12 @@ class Network:
         self.backend = make_backend(backend if backend is not None else config.sim_backend)
         self.mesh = config.mesh
         self.topology = config.topology
-        if config.is_waw and weight_table is None:
+        if weight_table is not None:
+            weight_table.require_topology(self.topology)
+        elif config.is_waw:
             # Default WaW configuration: the all-to-all weights of the
             # topology (closed-form on the XY mesh, flow-derived elsewhere).
-            weight_table = WeightTable.from_closed_form(config.mesh)
+            weight_table = _default_weights(config.mesh)
         self.weight_table = weight_table
 
         # A null fault model (all rates zero) is treated exactly like no
@@ -78,17 +91,20 @@ class Network:
             coord: NIC(coord, config, reliability=reliability)
             for coord in self.topology.nodes()
         }
-        #: Wiring by port number (see :data:`repro.noc.router.PORTS`), built
-        #: once so that applying an event is a table lookup: for each router,
-        #: its NIC and the routers downstream of each output port and upstream
-        #: of each input port (``None`` where the port has no link).
+        #: Wiring by port number (see :data:`repro.noc.router.PORTS`), read
+        #: from the per-topology layouts: for each router, its NIC and the
+        #: routers downstream of each output port and upstream of each input
+        #: port (``None`` where the port has no link).
         self._links: Dict[
             Router, Tuple[NIC, List[Optional[Router]], List[Optional[Router]]]
         ] = {}
+        layouts = _layouts(self.topology)
+        by_position = list(self.routers.values())
         for coord, router in self.routers.items():
+            layout = layouts[coord]
             downstream, upstream = (
-                [self.routers.get(neighbour(coord, port)) for port in PORTS]
-                for neighbour in (self.topology.downstream, self.topology.upstream)
+                [None if index is None else by_position[index] for index in neighbours]
+                for neighbours in (layout.downstream, layout.upstream)
             )
             self._links[router] = (self.nics[coord], downstream, upstream)
         #: The router each NIC injects into.

@@ -29,8 +29,8 @@ enters an input buffer, and kept on the flit (:attr:`Flit.route`).  The
 per-cycle state lives in lists indexed by *port number*, the position of the
 port in :data:`PORTS`, so the hot loop never hashes a
 :class:`~repro.geometry.Port`; ``Port`` appears only at the API boundary.
-Each router position's ports and legal contenders are computed once per
-topology and shared.
+Each router position's ports, legal contenders and neighbours are computed
+once per topology and shared, so building a router only creates its state.
 
 Routers never move flits directly; they emit *events* (forward, eject,
 credit return) that the :class:`~repro.noc.network.Network` applies at the
@@ -46,7 +46,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..core.arbitration import Arbiter, make_arbiter
+from ..core.arbitration import Arbiter, RoundRobinArbiter, WeightedRoundRobinArbiter
 from ..core.config import NoCConfig
 from ..core.weights import WeightTable
 from ..geometry import Coord, Port
@@ -75,34 +75,49 @@ RouterEvent = Tuple
 
 
 class _Layout(NamedTuple):
-    """The ports of one router position, shared by every router built there."""
+    """The ports and links of one router position, shared by every router built there."""
 
-    #: Port numbers of the existing input ports.
-    inputs: Tuple[int, ...]
+    #: Port number and buffer name of each existing input port.
+    inputs: Tuple[Tuple[int, str], ...]
     #: Per existing output port, in topology order: its port number, its
     #: legal contender input ports and their port numbers.
     outputs: Tuple[Tuple[int, Tuple[Port, ...], Tuple[int, ...]], ...]
+    #: By port number, the position in ``topology.nodes()`` of the router
+    #: reached through each output port and of the router feeding each input
+    #: port (``None`` where the port has no link).
+    downstream: Tuple[Optional[int], ...]
+    upstream: Tuple[Optional[int], ...]
     #: Lookahead routing memo: destination ``(x, y)`` -> output port number.
     routes: Dict[Tuple[int, int], int]
 
 
 @lru_cache(maxsize=16)
 def _layouts(topology: Topology) -> Dict[Coord, _Layout]:
-    """Every router position's ports and legal contenders, built once per topology."""
+    """Every router position's ports, contenders and neighbours, built once per topology."""
+    position = {coord: index for index, coord in enumerate(topology.nodes())}
     layouts = {}
-    for coord in topology.nodes():
+    for coord in position:
         outputs = []
         for port in topology.output_ports(coord):
             contenders = topology.legal_inputs_for_output(coord, port)
             numbers = tuple(PORT_INDEX[p] for p in contenders)
             outputs.append((PORT_INDEX[port], contenders, numbers))
-        inputs = tuple(PORT_INDEX[p] for p in topology.input_ports(coord))
-        layouts[coord] = _Layout(inputs, tuple(outputs), {})
+        inputs = tuple((PORT_INDEX[p], f"{coord}:{p.value}") for p in topology.input_ports(coord))
+        downstream, upstream = (
+            tuple(position.get(neighbour(coord, port)) for port in PORTS)
+            for neighbour in (topology.downstream, topology.upstream)
+        )
+        layouts[coord] = _Layout(inputs, tuple(outputs), downstream, upstream, {})
     return layouts
 
 
 class Router:
-    """One wormhole router of the mesh."""
+    """One wormhole router of the mesh.
+
+    A WaW arbiter reads its contenders' credits from
+    ``weight_table.counts(coord)``: for a table of the configured topology
+    these are :meth:`~repro.core.weights.WeightTable.arbitration_weights`.
+    """
 
     def __init__(
         self,
@@ -123,8 +138,8 @@ class Router:
         #: exist), and their flit lists, which the allocation loop reads.
         self._buffers: List[Optional[FlitBuffer]] = [None] * len(PORTS)
         self._fifos: List[Optional[List[Flit]]] = [None] * len(PORTS)
-        for port in layout.inputs:
-            buffer = FlitBuffer(config.buffer_depth, name=f"{coord}:{PORTS[port].value}")
+        for port, name in layout.inputs:
+            buffer = FlitBuffer(config.buffer_depth, name=name)
             self._buffers[port] = buffer
             self._fifos[port] = buffer.flits
         #: Flits buffered over all inputs.
@@ -136,16 +151,18 @@ class Router:
         #: Per output port, in topology order: ``(port number, arbiter,
         #: contender port numbers)``; the arbiter is ``None`` for an output
         #: no input may legally request.
+        waw = config.is_waw
+        if waw:
+            counts = weight_table.counts(coord).inputs if weight_table is not None else {}
+            weights = [counts.get(port, 0) for port in PORTS]
         plan = []
         for out, contenders, numbers in layout.outputs:
-            arbiter = None
-            if contenders:
-                weights = (
-                    weight_table.arbitration_weights(coord, PORTS[out])
-                    if (config.is_waw and weight_table is not None)
-                    else None
-                )
-                arbiter = make_arbiter(contenders, weighted=config.is_waw, weights=weights)
+            if not contenders:
+                arbiter = None
+            elif waw:
+                arbiter = WeightedRoundRobinArbiter(contenders, [weights[n] for n in numbers])
+            else:
+                arbiter = RoundRobinArbiter(contenders)
             plan.append((out, arbiter, numbers))
         self._plan: Tuple[Tuple[int, Optional[Arbiter], Tuple[int, ...]], ...] = tuple(plan)
 

@@ -90,6 +90,17 @@ class TestWeightedRoundRobinArbiter:
         with pytest.raises(ValueError):
             WeightedRoundRobinArbiter([Port.LOCAL], {Port.LOCAL: -1})
 
+    def test_weights_by_position(self):
+        """The router passes each candidate's weight by position."""
+        arb = WeightedRoundRobinArbiter([Port.XPLUS, Port.YPLUS], [3, 1])
+        assert arb.weights == {Port.XPLUS: 3, Port.YPLUS: 1}
+        assert arb.grant([Port.XPLUS, Port.YPLUS]) is Port.XPLUS
+
+    @pytest.mark.parametrize("weights", [[1], [1, 2, 3], [1, -1]])
+    def test_bad_weights_by_position_rejected(self, weights):
+        with pytest.raises(ValueError):
+            WeightedRoundRobinArbiter([Port.XPLUS, Port.YPLUS], weights)
+
     def test_unique_requester_does_not_consume_credit(self):
         """Paper: 'When an input port is the unique candidate ... unaltered'."""
         arb = WeightedRoundRobinArbiter([Port.XPLUS, Port.YPLUS], {Port.XPLUS: 3, Port.YPLUS: 1})

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Scenario
+from repro.core.arbitration import make_arbiter
 from repro.core.config import RouterTiming, regular_mesh_config, waw_wap_config
+from repro.core.flows import FlowSet
 from repro.core.weights import WeightTable
 from repro.geometry import Coord, Port
 from repro.noc.network import Network
+from repro.noc.router import PORT_INDEX, PORTS
 
 
 class TestBasicDelivery:
@@ -98,6 +102,17 @@ class TestWormholeSemantics:
         assert network.stats.completed_messages == 60
         assert final_cycle > 0
 
+    def test_event_backend_drains_an_8x8_hotspot(self):
+        """Every other node of the 8x8 WaW+WaP mesh sends one 4-flit message
+        to (0, 0); the event-driven backend delivers all 63."""
+        config = Scenario.mesh(8).waw_wap().backend("event").build()
+        network = Network(config)
+        for src in config.mesh.nodes():
+            if src != Coord(0, 0):
+                network.send(src, Coord(0, 0), 4, kind="load")
+        network.run_until_idle(max_cycles=500_000)
+        assert network.stats.completed_messages == 63
+
     def test_backpressure_limits_buffered_flits(self):
         """Credit flow control never overflows any input buffer."""
         config = regular_mesh_config(3, buffer_depth=2)
@@ -166,6 +181,65 @@ class TestArbitrationPolicies:
         table = WeightTable.from_closed_form(config.mesh)
         network = Network(config, weight_table=table)
         assert network.weight_table is table
+
+
+#: Structures the reference check covers: (width, height, ``Scenario.topology`` arguments).
+_STRUCTURES = {
+    "mesh-xy": (4, 4, dict(kind="mesh")),
+    "mesh-yx": (4, 4, dict(kind="mesh", routing="yx")),
+    "torus": (4, 4, dict(kind="torus")),
+    "ring": (8, 1, dict(kind="ring")),
+    "cmesh": (4, 4, dict(kind="cmesh", concentration=2)),
+}
+
+
+class TestBuildMatchesPortReference:
+    """Routers and the network build their arbiters and links from
+    per-topology tables.  ``make_arbiter`` over the topology's legal
+    contenders with ``WeightTable.arbitration_weights``, and the topology's
+    ``downstream``/``upstream``, are the ``Port``-level reference."""
+
+    @pytest.mark.parametrize("table", ["regular", "default", "all-to-one"])
+    @pytest.mark.parametrize("structure", sorted(_STRUCTURES))
+    def test_arbiters_and_links_equal_the_reference(self, structure, table):
+        width, height, topology_args = _STRUCTURES[structure]
+        scenario = Scenario.mesh(width, height).topology(**topology_args)
+        config = (scenario.regular() if table == "regular" else scenario.waw_wap()).build()
+        topology = config.topology
+        weights = reference = None
+        if table == "all-to-one":
+            # check_bounds' table: the all-to-one traffic towards the MC.
+            flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
+            weights = reference = WeightTable.from_flow_set(flows)
+        elif table == "default":
+            reference = WeightTable.from_closed_form(config.mesh)
+        network = Network(config, weight_table=weights)
+
+        for coord, router in network.routers.items():
+            expected = {
+                out: make_arbiter(
+                    topology.legal_inputs_for_output(coord, out),
+                    weighted=config.is_waw,
+                    weights=None if reference is None else reference.arbitration_weights(coord, out),
+                )
+                for out in topology.output_ports(coord)
+                if topology.legal_inputs_for_output(coord, out)
+            }
+            assert list(router.arbiters) == list(expected), coord
+            for out, arbiter in router.arbiters.items():
+                want = expected[out]
+                assert type(arbiter) is type(want), (coord, out)
+                assert arbiter.candidates == want.candidates, (coord, out)
+                if config.is_waw:
+                    assert list(arbiter.weights.items()) == list(want.weights.items()), (coord, out)
+
+            nic, downstream, upstream = network._links[router]
+            assert nic is network.nics[coord]
+            for links, neighbour in ((downstream, topology.downstream), (upstream, topology.upstream)):
+                for port in PORTS:
+                    other = neighbour(coord, port)
+                    want = None if other is None else network.routers[other]
+                    assert links[PORT_INDEX[port]] is want, (coord, port, neighbour.__name__)
 
 
 class TestNetworkAPI:

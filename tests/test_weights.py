@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import vector
+from repro.analysis.flowaware import HolisticAnalysis
+from repro.api import Scenario
 from repro.core.flows import FlowSet
+from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.core.weights import (
     PortCounts,
     WeightTable,
@@ -18,6 +22,8 @@ from repro.core.weights import (
     waw_weight,
 )
 from repro.geometry import Coord, Mesh, Port
+from repro.manycore.system import ManycoreSystem
+from repro.noc.network import Network
 
 
 class TestClosedForms:
@@ -259,3 +265,71 @@ class TestWeightTableCountsError:
         table = WeightTable.from_closed_form(mesh)
         with pytest.raises(ValueError):
             table.counts(Coord(9, 9))
+
+
+
+_CONSUMERS = {
+    "network": lambda config, table: Network(config, weight_table=table),
+    "system": lambda config, table: ManycoreSystem(config, weight_table=table),
+    "weighted": WaWWaPWCTTAnalysis,
+    "flow-aware": lambda config, table: HolisticAnalysis(config, weight_table=table),
+    "vector": vector.VectorWaWWaPAnalysis,
+}
+
+#: (configured structure, table's structure, their labels in the error).
+_MISMATCHES = {
+    "8x8-table-in-4x4": (
+        dict(width=4), dict(width=8), ("8x8 mesh (XY routing)", "4x4 mesh (XY routing)")
+    ),
+    "4x4-table-in-8x8": (
+        dict(width=8), dict(width=4), ("4x4 mesh (XY routing)", "8x8 mesh (XY routing)")
+    ),
+    "torus-table-in-mesh": (
+        dict(width=4), dict(width=4, kind="torus"),
+        ("4x4 torus (XY routing)", "4x4 mesh (XY routing)"),
+    ),
+    "yx-table-in-xy-mesh": (
+        dict(width=4), dict(width=4, routing="yx"),
+        ("4x4 mesh (YX routing)", "4x4 mesh (XY routing)"),
+    ),
+}
+
+
+def _waw_wap_config(width, kind="mesh", routing="xy"):
+    return Scenario.mesh(width).topology(kind, routing=routing).waw_wap().build()
+
+
+def _consume(consumer, config, table):
+    if consumer == "vector" and not vector.HAS_NUMPY:
+        pytest.skip("numpy is not installed")
+    _CONSUMERS[consumer](config, table)
+
+
+class TestWeightTableTopology:
+    """A table holds the counts and contenders of the topology it was built
+    on; every consumer that stores a caller's table refuses another
+    topology's table instead of configuring the design with its weights."""
+
+    @pytest.mark.parametrize("mismatch", sorted(_MISMATCHES))
+    @pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+    def test_table_of_another_topology_is_rejected(self, consumer, mismatch):
+        configured, built_for, (table_label, config_label) = _MISMATCHES[mismatch]
+        config = _waw_wap_config(**configured)
+        table = WeightTable.from_closed_form(_waw_wap_config(**built_for).topology)
+        with pytest.raises(ValueError) as excinfo:
+            _consume(consumer, config, table)
+        message = str(excinfo.value)
+        assert table_label in message and config_label in message, message
+
+    @pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+    def test_table_of_the_same_topology_is_accepted(self, consumer):
+        """A table built on the plain ``Mesh`` configures the equivalent
+        XY ``Mesh2D`` (and the other way round)."""
+        config = Scenario.mesh(4).waw_wap().build()
+        for mesh in (Mesh(4, 4), _waw_wap_config(4).topology):
+            _consume(consumer, config, WeightTable.from_closed_form(mesh))
+
+    def test_require_topology_returns_the_table(self):
+        config = _waw_wap_config(4, kind="torus")
+        table = WeightTable.from_closed_form(config.topology)
+        assert table.require_topology(config.topology) is table

@@ -22,7 +22,7 @@ from repro.api import Scenario, sweep
 from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.experiments import scenario_wctt
-from repro.geometry import Coord
+from repro.geometry import Coord, Mesh
 from repro.manycore.system import ManycoreSystem
 from repro.noc.network import Network
 from repro.noc.router import Router
@@ -93,8 +93,8 @@ class TestFaultyTrialPin:
 class TestEventBackendWork:
     def test_eembc_suite_work_counts(self, monkeypatch):
         """The 16 Autobench kernels at scale 0.005, each alone at (7,7) of
-        the 8x8 WaW+WaP mesh on the event backend (the workload of
-        benchmarks/bench_sim_backends.py).
+        the 8x8 WaW+WaP mesh on the event backend (perfbench's
+        ``eembc_sim`` workload).
 
         Stepping every cycle (no event jumps) raises the ``step_active``
         count to the cycle count; stepping idle routers raises the
@@ -114,6 +114,22 @@ class TestEventBackendWork:
         assert system_steps[0] == 22_733
         assert router_steps[0] == 43_035
         assert forwarded == 25_740
+
+
+class TestNetworkBuildWork:
+    @pytest.mark.parametrize("design", ["waw_wap", "regular"])
+    def test_repeated_build_does_not_query_the_topology(self, monkeypatch, design):
+        """A second ``Network`` of a configuration takes its ports,
+        contenders, wiring and default weights from per-topology tables, so
+        it asks the topology for no link (re-deriving them costs 320
+        ``downstream`` and 1472 ``upstream`` calls on the 8x8 WaW+WaP mesh,
+        320 and 320 on the regular one)."""
+        config = getattr(Scenario.mesh(8), design)().build()
+        Network(config)
+        downstream = _count_calls(monkeypatch, Mesh, "downstream")
+        upstream = _count_calls(monkeypatch, Mesh, "upstream")
+        Network(config)
+        assert (downstream[0], upstream[0]) == (0, 0)
 
 
 #: The benchmark's 1176-point design grid (``SWEEP_GRID`` in perfbench/workloads.py).
