@@ -7,9 +7,9 @@ so that performance regressions in the library itself are visible.
 
 from __future__ import annotations
 
+from repro.analysis.backends import make_analysis_backend
 from repro.core.config import regular_mesh_config, waw_wap_config
 from repro.core.ubd import UBDTable
-from repro.core.wctt import make_wctt_analysis
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.geometry import Coord
 from repro.noc.network import Network
@@ -18,9 +18,10 @@ from repro.noc.network import Network
 def bench_regular_wctt_corner_flow(benchmark):
     """One corner-to-corner regular-mesh WCTT evaluation on the 8x8 chip."""
     config = regular_mesh_config(8, max_packet_flits=4)
+    regular = make_analysis_backend("regular")
 
     def run():
-        analysis = make_wctt_analysis(config)
+        analysis = regular.analysis(config)
         return analysis.wctt_packet(Coord(7, 7), Coord(0, 0), packet_flits=1)
 
     assert benchmark(run) > 0

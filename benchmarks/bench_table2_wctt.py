@@ -27,16 +27,18 @@ def bench_table2_full(benchmark):
 
 def bench_table2_regular_8x8_analysis_only(benchmark):
     """Cost of the regular-mesh analysis alone on the 64-node chip."""
+    from repro.analysis.backends import make_analysis_backend
     from repro.core.config import regular_mesh_config
     from repro.core.flows import FlowSet
-    from repro.core.wctt import make_wctt_analysis, wctt_summary
+    from repro.core.wctt import wctt_summary
     from repro.geometry import Coord
 
     config = regular_mesh_config(8, max_packet_flits=1)
     flows = FlowSet.all_to_one(config.mesh, Coord(0, 0))
+    regular = make_analysis_backend("regular")
 
     def run():
-        return wctt_summary(make_wctt_analysis(config), flows, packet_flits=1)
+        return wctt_summary(regular.analysis(config), flows, packet_flits=1)
 
     summary = benchmark(run)
     assert summary.maximum > summary.minimum

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import tempfile
 
+from repro.analysis.backends import make_analysis_backend
 from repro.analysis.reporting import format_table, format_title
 from repro.analysis.validation import validate_flow_bound
 from repro.api import BatchEngine, Scenario, sweep
-from repro.core import FlowSet, make_wctt_analysis, wctt_summary
+from repro.core import FlowSet, wctt_summary
 from repro.core.area import waw_wap_overhead
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.geometry import Coord
@@ -40,7 +41,9 @@ def sweep_mesh_size() -> None:
         regular = scenario.regular().max_packet_flits(4).build()
         proposal = scenario.waw_wap().max_packet_flits(4).build()
         flows = FlowSet.all_to_one(regular.mesh, Coord(0, 0))
-        regular_summary = wctt_summary(make_wctt_analysis(regular), flows, packet_flits=1)
+        regular_summary = wctt_summary(
+            make_analysis_backend("regular").analysis(regular), flows, packet_flits=1
+        )
         proposal_summary = wctt_summary(
             WaWWaPWCTTAnalysis.for_memory_traffic(proposal, include_replies=False),
             flows,
@@ -68,7 +71,9 @@ def sweep_packet_size_and_buffers() -> None:
     for scenario in sweep(base, max_packet_flits=(1, 4, 8, 16), buffer_depth=(2, 4, 8)):
         regular = scenario.regular().build()
         proposal = scenario.waw_wap().build()
-        regular_bound = make_wctt_analysis(regular).wctt_packet(far, Coord(0, 0), packet_flits=1)
+        regular_bound = make_analysis_backend("regular").analysis(regular).wctt_packet(
+            far, Coord(0, 0), packet_flits=1
+        )
         proposal_bound = WaWWaPWCTTAnalysis.for_memory_traffic(
             proposal, include_replies=False
         ).wctt_packet(far, Coord(0, 0))

@@ -22,7 +22,7 @@ from repro import (
     Coord,
     Network,
     UBDTable,
-    make_wctt_analysis,
+    make_analysis_backend,
     regular_mesh_config,
     waw_wap_config,
 )
@@ -44,8 +44,9 @@ def main() -> None:
     # 2. Time-composable WCTT bounds for a near, a mid and a far core.
     # ------------------------------------------------------------------
     memory = regular.memory_controller
-    regular_analysis = make_wctt_analysis(regular)
-    proposal_analysis = make_wctt_analysis(proposal)
+    paper = make_analysis_backend(None)  # the paper's bound for each design point
+    regular_analysis = paper.analysis(regular)
+    proposal_analysis = paper.analysis(proposal)
 
     rows = []
     for label, core in [("near", Coord(1, 0)), ("mid", Coord(4, 3)), ("far", Coord(7, 7))]:

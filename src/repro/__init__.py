@@ -38,11 +38,12 @@ The package is organised in seven layers:
 
 Quick start::
 
-    from repro import Scenario, get_experiment, make_wctt_analysis
+    from repro import Scenario, get_experiment, make_analysis_backend
     from repro.geometry import Coord
 
     regular = Scenario.mesh(8).regular().max_packet_flits(4).build()
-    print(make_wctt_analysis(regular).wctt_packet(Coord(7, 7), Coord(0, 0), packet_flits=1))
+    paper = make_analysis_backend(None).analysis(regular)   # the paper's bound
+    print(paper.wctt_packet(Coord(7, 7), Coord(0, 0), packet_flits=1))
 
     result = get_experiment("table2").run(quick=True)
     print(result.to_json())
@@ -90,7 +91,6 @@ from .core import (
     UBDTable,
     WaWWaPWCTTAnalysis,
     WeightTable,
-    make_wctt_analysis,
     regular_mesh_config,
     waw_wap_config,
     wctt_map,
@@ -122,7 +122,6 @@ from .analysis import (
     HolisticAnalysis,
     TrajectoryAnalysis,
     available_analysis_backends,
-    evaluate_grid,
     make_analysis_backend,
     make_vector_analysis,
     vector_supported,
@@ -130,7 +129,7 @@ from .analysis import (
     vector_wctt_summary,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 #: Service entry points resolved lazily (they pull in asyncio machinery
 #: that most library users never touch).
@@ -174,7 +173,6 @@ __all__ = [
     "UBDTable",
     "WaWWaPWCTTAnalysis",
     "WeightTable",
-    "make_wctt_analysis",
     "regular_mesh_config",
     "waw_wap_config",
     "wctt_map",

@@ -1,6 +1,6 @@
 """Analysis utilities: the pluggable :class:`AnalysisBackend` registry with
 the competing flow-aware analyses (:mod:`repro.analysis.flowaware`), bound
-validation, report formatting and the numpy-vectorized batch evaluator
+validation, report formatting and the numpy kernels of the paper's bounds
 (:mod:`repro.analysis.vector`)."""
 
 from .backends import (
@@ -14,10 +14,8 @@ from .flowaware import FlowAwareWCTTAnalysis, HolisticAnalysis, TrajectoryAnalys
 from .reporting import format_grid, format_key_values, format_table, format_title
 from .validation import BoundValidationResult, validate_design, validate_flow_bound
 from .vector import (
-    GridEvaluator,
     VectorRegularAnalysis,
     VectorWaWWaPAnalysis,
-    evaluate_grid,
     make_vector_analysis,
     vector_supported,
     vector_ubd_entries,
@@ -41,10 +39,8 @@ __all__ = [
     "BoundValidationResult",
     "validate_design",
     "validate_flow_bound",
-    "GridEvaluator",
     "VectorRegularAnalysis",
     "VectorWaWWaPAnalysis",
-    "evaluate_grid",
     "make_vector_analysis",
     "vector_supported",
     "vector_ubd_entries",

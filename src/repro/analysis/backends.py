@@ -174,7 +174,6 @@ class AnalysisBackend:
         *,
         destination: Optional[Coord] = None,
         packet_flits: int = 1,
-        design_label: Optional[str] = None,
     ) -> WCTTSummary:
         """Max/mean/min bound over all-to-one traffic towards ``destination``
         (default: the memory controller) -- one Table II row."""
@@ -182,9 +181,7 @@ class AnalysisBackend:
         dest = destination if destination is not None else config.memory_controller
         analysis = self.analysis(config, destination=dest)
         flows = FlowSet.all_to_one(config.mesh, dest)
-        return _scalar_wctt_summary(
-            analysis, flows, packet_flits=packet_flits, design_label=design_label
-        )
+        return _scalar_wctt_summary(analysis, flows, packet_flits=packet_flits)
 
     def validation_bound(
         self,
@@ -250,17 +247,12 @@ def make_analysis_backend(
     ``None`` resolves to the paper's analysis pair: ``weighted`` bounds for
     WaW+WaP design points, ``regular`` bounds for everything else.  Because
     that default is config-dependent, ``None`` resolves to the dispatching
-    :class:`PaperAnalysisBackend` rather than a fixed registry entry.
-
-    This matches :func:`repro.core.wctt.make_wctt_analysis` except on
-    WaW-only designs (weighted arbitration without WaP): ``regular`` refuses
-    them, because weighted arbitration breaks its round-robin premise, while
-    ``make_wctt_analysis``, ``scenario_wctt`` (design ``waw``) and
-    :class:`~repro.core.ubd.UBDTable` still serve the regular bound there.
+    :class:`PaperAnalysisBackend` rather than a fixed registry entry.  It is
+    the one place that picks the paper's bound for a design point.
 
     No name selects the numpy kernels of :mod:`repro.analysis.vector`:
-    ``scenario_wctt``, ``evaluate_grid`` and ``UBDTable`` take them on their
-    own wherever :func:`~repro.analysis.vector.vector_supported` allows.
+    ``scenario_wctt`` and ``UBDTable`` take them on their own wherever
+    :func:`~repro.analysis.vector.vector_supported` allows.
     """
     if spec is None:
         return _paper_backend()

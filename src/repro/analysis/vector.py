@@ -42,14 +42,13 @@ Scope: edge-bounded meshes (plain :class:`~repro.geometry.Mesh`,
 under the ``merging`` contender policy that the paper's analyses use.
 Everything else (torus, ring, YX) falls back to the scalar reference.  No
 caller chooses between the two paths: :func:`vector_supported` is the
-single gatekeeper that :mod:`repro.experiments.scenario_wctt`,
-:class:`GridEvaluator` / :func:`evaluate_grid` and
+single gatekeeper that :mod:`repro.experiments.scenario_wctt` and
 :class:`repro.core.ubd.UBDTable` consult.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 try:  # numpy is an install_requires, but degrade gracefully without it.
     import numpy as np
@@ -64,6 +63,7 @@ from ..topology.base import Topology, as_topology
 from ..core.config import NoCConfig
 from ..core.wctt import WCTTSummary
 from ..core.weights import WeightTable
+from .backends import make_analysis_backend
 
 __all__ = [
     "HAS_NUMPY",
@@ -76,8 +76,6 @@ __all__ = [
     "vector_wctt_map",
     "vector_wctt_summary",
     "vector_ubd_entries",
-    "GridEvaluator",
-    "evaluate_grid",
 ]
 
 #: Largest intermediate the int64 WaW kernel may produce before the design
@@ -717,13 +715,18 @@ class VectorRegularAnalysis:
 
 
 # ----------------------------------------------------------------------
-# Front-end mirroring repro.core.wctt
+# Front-end mirroring the paper's analysis backends
 # ----------------------------------------------------------------------
 VectorAnalysisType = Union[VectorWaWWaPAnalysis, VectorRegularAnalysis]
 
 
 def make_vector_analysis(config: NoCConfig) -> VectorAnalysisType:
-    """Vector counterpart of :func:`repro.core.wctt.make_wctt_analysis`."""
+    """Vector counterpart of ``make_analysis_backend(None).analysis(config)``.
+
+    Refuses what the paper's backends refuse (weighted arbitration without
+    WaP), with the registry's reason.
+    """
+    make_analysis_backend(None).require(config)
     if config.is_waw_wap:
         return VectorWaWWaPAnalysis(config)
     contender = config.min_packet_flits if config.is_wap else None
@@ -735,22 +738,6 @@ def _grid_values(grid, mesh: Mesh, destination: Coord) -> List[int]:
     values = grid.ravel().tolist()
     del values[destination.y * mesh.width + destination.x]
     return values
-
-
-def _summary_of(values: List[int], config: NoCConfig) -> WCTTSummary:
-    """Max/mean/min of ``values`` (the mean rule: :func:`vector_wctt_summary`)."""
-    if not values:
-        raise ValueError("flow set is empty")
-    total, count = sum(values), len(values)
-    whole, rest = divmod(total, count)
-    return WCTTSummary(
-        design="WaW+WaP" if config.is_waw_wap else "regular",
-        mesh=config.topology.short_label(),
-        maximum=max(values),
-        average=whole if rest == 0 else total / count,
-        minimum=min(values),
-        flow_count=count,
-    )
 
 
 def vector_wctt_map(
@@ -765,16 +752,28 @@ def vector_wctt_map(
 def vector_wctt_summary(config: NoCConfig, *, packet_flits: int = 1) -> WCTTSummary:
     """All-to-one WCTT summary, bit-identical to the scalar pipeline.
 
-    Equivalent to ``wctt_summary(make_wctt_analysis(config),
-    FlowSet.all_to_one(mesh, memory_controller), packet_flits=...)`` but
-    computed from one to-destination grid.  The mean is :func:`statistics.mean`'s
-    exact rule without its ``Fraction`` arithmetic: an ``int`` when whole, else
-    the correctly rounded ``total / count``, so its type and rounding match too.
+    Equivalent to ``make_analysis_backend(None).wctt_summary(config,
+    packet_flits=...)`` but computed from one to-destination grid.  The mean
+    is :func:`statistics.mean`'s exact rule without its ``Fraction``
+    arithmetic: an ``int`` when whole, else the correctly rounded
+    ``total / count``, so its type and rounding match too.
     """
     analysis = make_vector_analysis(config)
     destination = config.memory_controller
     grid = analysis.wctt_grid_to(destination, packet_flits=packet_flits)
-    return _summary_of(_grid_values(grid, analysis.mesh, destination), config)
+    values = _grid_values(grid, analysis.mesh, destination)
+    if not values:
+        raise ValueError("flow set is empty")
+    total, count = sum(values), len(values)
+    whole, rest = divmod(total, count)
+    return WCTTSummary(
+        design="WaW+WaP" if config.is_waw_wap else "regular",
+        mesh=config.topology.short_label(),
+        maximum=max(values),
+        average=whole if rest == 0 else total / count,
+        minimum=min(values),
+        flow_count=count,
+    )
 
 
 def vector_ubd_entries(
@@ -823,107 +822,3 @@ def vector_ubd_entries(
             eviction_ack_wctt=ack,
         )
     return entries
-
-
-# ----------------------------------------------------------------------
-# Grid evaluation with structural caching
-# ----------------------------------------------------------------------
-class GridEvaluator:
-    """Evaluate many design points, reusing structure across packet sizes.
-
-    A sweep that varies ``packet_flits`` on top of a structural grid hits
-    the same count matrices and service chains repeatedly: the WaW+WaP
-    packet bound does not depend on the packet size at all, and the
-    regular bound is affine in it (``base + packet_flits * flit_cycle``).
-    The evaluator caches the per-flow base values under the scenario's
-    canonical dict form, so packet-size variants cost O(flows) additions
-    instead of a fresh kernel run.
-    """
-
-    def __init__(self) -> None:
-        self._cache: Dict[str, Tuple[str, List[int], int, int]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def _values(self, scenario_dict: Mapping[str, Any], config: NoCConfig, packet_flits: int) -> List[int]:
-        import json
-
-        key = json.dumps(scenario_dict, sort_keys=True, default=str)
-        cached = self._cache.get(key)
-        if cached is None:
-            self.misses += 1
-            analysis = make_vector_analysis(config)
-            destination = config.memory_controller
-            if isinstance(analysis, VectorWaWWaPAnalysis):
-                grid = analysis.wctt_grid_to(destination, packet_flits=1)
-                kind, fc, min_flits = "waw", 0, config.min_packet_flits
-            else:
-                grid = analysis.base_grid_to(destination)
-                kind, fc, min_flits = "regular", config.timing.flit_cycle, 0
-            base = _grid_values(grid, analysis.mesh, destination)
-            cached = self._cache[key] = (kind, base, fc, min_flits)
-        else:
-            self.hits += 1
-        kind, base, fc, min_flits = cached
-        if kind == "waw":
-            if packet_flits > min_flits:
-                raise ValueError(
-                    "WaP never injects packets larger than the minimum size "
-                    f"({min_flits} flits); got {packet_flits}"
-                )
-            return base
-        if packet_flits < 1:
-            raise ValueError("packet_flits must be >= 1")
-        own = packet_flits * fc
-        return [b + own for b in base]
-
-    def summary(self, scenario: Any, *, packet_flits: int = 1) -> WCTTSummary:
-        """The all-to-one WCTT summary of one scenario (or its dict form)."""
-        from ..api.scenario import Scenario
-
-        if isinstance(scenario, Mapping):
-            scenario = Scenario.from_dict(scenario)
-        config = scenario.build()
-        selected = scenario.settings.get("analysis")
-        if selected is not None:
-            # A competing bound, as in scenario_wctt; wctt_summary checks it applies.
-            from .backends import make_analysis_backend
-
-            return make_analysis_backend(selected).wctt_summary(config, packet_flits=packet_flits)
-        reason = vector_supported(config)
-        if reason is not None:
-            # Scalar fallback keeps grid evaluation total over any sweep.
-            from ..core.flows import FlowSet
-            from ..core.wctt import make_wctt_analysis, wctt_summary
-
-            flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
-            return wctt_summary(
-                make_wctt_analysis(config), flows, packet_flits=packet_flits
-            )
-        return _summary_of(self._values(scenario.to_dict(), config, packet_flits), config)
-
-
-def evaluate_grid(
-    scenarios: Iterable[Any], *, packet_flits: Union[int, Sequence[int]] = 1
-) -> List[WCTTSummary]:
-    """Batch-evaluate the WCTT summary of every scenario in ``scenarios``.
-
-    ``packet_flits`` may be a single size or one size per scenario.  Design
-    points the vector engine does not support transparently fall back to
-    the scalar reference, so the result list is always complete; a
-    scenario's ``analysis(...)`` selection is evaluated by that backend.
-    """
-    scenarios = list(scenarios)
-    if isinstance(packet_flits, int):
-        sizes = [packet_flits] * len(scenarios)
-    else:
-        sizes = list(packet_flits)
-        if len(sizes) != len(scenarios):
-            raise ValueError(
-                f"got {len(sizes)} packet sizes for {len(scenarios)} scenarios"
-            )
-    evaluator = GridEvaluator()
-    return [
-        evaluator.summary(scenario, packet_flits=size)
-        for scenario, size in zip(scenarios, sizes)
-    ]

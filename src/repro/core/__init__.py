@@ -40,7 +40,7 @@ from .packetization import (
 )
 from .wctt_regular import RegularMeshWCTTAnalysis
 from .wctt_weighted import WaWWaPWCTTAnalysis
-from .wctt import WCTTSummary, make_wctt_analysis, wctt_map, wctt_summary
+from .wctt import WCTTSummary, wctt_map, wctt_summary
 from .ubd import MemoryTiming, UBDEntry, UBDTable
 from .area import AreaBreakdown, AreaParameters, noc_area, router_area, waw_wap_overhead
 
@@ -76,7 +76,6 @@ __all__ = [
     "RegularMeshWCTTAnalysis",
     "WaWWaPWCTTAnalysis",
     "WCTTSummary",
-    "make_wctt_analysis",
     "wctt_map",
     "wctt_summary",
     # ubd

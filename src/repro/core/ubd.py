@@ -29,7 +29,8 @@ from typing import Dict, Optional
 
 from ..geometry import Coord
 from .config import NoCConfig
-from .wctt import AnalysisType, make_wctt_analysis
+from .flows import FlowSet
+from .wctt import WCTTAnalysis
 from .weights import WeightTable
 
 __all__ = ["MemoryTiming", "UBDEntry", "UBDTable"]
@@ -80,11 +81,13 @@ class UBDTable:
 
     ``backend`` selects a registered :class:`~repro.analysis.AnalysisBackend`
     by name (``regular``, ``weighted``, ``holistic``, ``trajectory``) to
-    compute the WCTT legs with; the default ``None`` keeps the paper's
-    analysis for the design point.  The analysis is built over
-    the table's request/reply memory-traffic flow set, so flow-aware
-    backends bound exactly the traffic the table describes.  Mutually
-    exclusive with passing a ready ``analysis`` object.
+    compute the WCTT legs with; the default ``None`` is the paper's analysis
+    for the design point, and refuses the designs the registry refuses.
+    The analysis is built over the table's request/reply memory-traffic flow
+    set, so flow-aware backends bound exactly the traffic the table
+    describes, and a WaW design without a ``weight_table`` gets the weights
+    the evaluated manycore would be configured with: those of that flow set.
+    Mutually exclusive with passing a ready ``analysis`` object.
     """
 
     def __init__(
@@ -92,7 +95,7 @@ class UBDTable:
         config: NoCConfig,
         *,
         memory: Optional[MemoryTiming] = None,
-        analysis: Optional[AnalysisType] = None,
+        analysis: Optional[WCTTAnalysis] = None,
         weight_table: Optional[WeightTable] = None,
         backend: Optional[str] = None,
     ):
@@ -100,32 +103,22 @@ class UBDTable:
         self.memory = memory if memory is not None else MemoryTiming()
         if backend is not None and analysis is not None:
             raise ValueError("pass either backend= or analysis=, not both")
-        if backend is not None:
-            self.analysis = self._backend_analysis(backend, weight_table)
-        elif analysis is not None:
-            self.analysis: AnalysisType = analysis
-        elif config.is_waw_wap and weight_table is None:
-            # The UBD table describes memory traffic (cores <-> memory
-            # controller), so by default the WaW weights are the ones the
-            # evaluated manycore would be configured with: those derived from
-            # that request/reply flow set.
-            from .wctt_weighted import WaWWaPWCTTAnalysis
-
-            self.analysis = WaWWaPWCTTAnalysis.for_memory_traffic(config)
-        else:
-            self.analysis = make_wctt_analysis(config, weight_table=weight_table)
+        self.analysis: WCTTAnalysis = (
+            analysis if analysis is not None else self._backend_analysis(backend, weight_table)
+        )
         self._entries: Dict[Coord, UBDEntry] = {}
         self._build()
 
     # ------------------------------------------------------------------
-    def _backend_analysis(self, backend: str, weight_table: Optional[WeightTable]):
+    def _backend_analysis(
+        self, backend: Optional[str], weight_table: Optional[WeightTable]
+    ) -> WCTTAnalysis:
         """Resolve ``backend=`` into an analysis over the memory flow set."""
         # Imported lazily: repro.analysis depends on this module.
         from ..analysis.backends import make_analysis_backend
 
         resolved = make_analysis_backend(backend)
         resolved.require(self.config)
-        from .flows import FlowSet
 
         mesh = self.config.mesh
         mc = self.config.memory_controller

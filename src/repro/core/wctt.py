@@ -1,10 +1,11 @@
-"""Unified front-end over the two WCTT analyses.
+"""What every WCTT analysis shares: its interface, summaries and maps.
 
-Most callers (the UBD tables, the experiments, the validation harness) do not
-care which analytical model applies -- they hold a :class:`NoCConfig` and
-want "the WCTT bound of this design point".  This module provides:
+Which analysis bounds a design point is the analysis-backend registry's
+decision (:func:`repro.analysis.make_analysis_backend`; ``None`` is the
+paper's pair).  This module provides:
 
-* :func:`make_wctt_analysis` -- factory dispatching on the configuration;
+* :class:`WCTTAnalysis` -- the protocol the paper's and the flow-aware
+  analyses satisfy;
 * :class:`WCTTSummary` / :func:`wctt_summary` -- the max/mean/min statistics
   over a flow set that the paper's Table II reports;
 * :func:`wctt_map` -- the per-source WCTT map towards a single destination
@@ -20,13 +21,9 @@ from typing import Dict, Optional, Protocol, Union
 from ..geometry import Coord
 from .config import NoCConfig
 from .flows import FlowSet
-from .weights import WeightTable
-from .wctt_regular import RegularMeshWCTTAnalysis
-from .wctt_weighted import WaWWaPWCTTAnalysis
 
 __all__ = [
     "WCTTAnalysis",
-    "make_wctt_analysis",
     "WCTTSummary",
     "wctt_summary",
     "wctt_map",
@@ -34,7 +31,7 @@ __all__ = [
 
 
 class WCTTAnalysis(Protocol):
-    """Common interface of the two analytical models."""
+    """Common interface of the WCTT analyses."""
 
     config: NoCConfig
 
@@ -45,30 +42,6 @@ class WCTTAnalysis(Protocol):
     def wctt_message(self, source: Coord, destination: Coord, *, payload_flits: int) -> int: ...
 
     def zero_load_latency(self, source: Coord, destination: Coord, packet_flits: int = 1) -> int: ...
-
-
-AnalysisType = Union[RegularMeshWCTTAnalysis, WaWWaPWCTTAnalysis]
-
-
-def make_wctt_analysis(
-    config: NoCConfig,
-    *,
-    weight_table: Optional[WeightTable] = None,
-    contender_packet_flits: Optional[int] = None,
-) -> AnalysisType:
-    """Instantiate the WCTT analysis matching ``config``.
-
-    A WaW+WaP configuration gets the bandwidth-share bound of
-    :class:`WaWWaPWCTTAnalysis`; anything else (including WaW-only or
-    WaP-only hybrids, analysed conservatively) gets the regular-mesh bound,
-    with the contender packet size reduced to the minimum packet size when
-    WaP is active -- that is exactly the benefit WaP provides on its own.
-    """
-    if config.is_waw_wap:
-        return WaWWaPWCTTAnalysis(config, weight_table)
-    if contender_packet_flits is None and config.is_wap:
-        contender_packet_flits = config.min_packet_flits
-    return RegularMeshWCTTAnalysis(config, contender_packet_flits=contender_packet_flits)
 
 
 @dataclass(frozen=True)
@@ -94,7 +67,7 @@ class WCTTSummary:
 
 
 def wctt_summary(
-    analysis: AnalysisType,
+    analysis: WCTTAnalysis,
     flow_set: FlowSet,
     *,
     packet_flits: int = 1,
@@ -124,7 +97,7 @@ def wctt_summary(
 
 
 def wctt_map(
-    analysis: AnalysisType,
+    analysis: WCTTAnalysis,
     destination: Coord,
     *,
     packet_flits: int = 1,

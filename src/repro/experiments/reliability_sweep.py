@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from ..analysis.backends import make_analysis_backend
 from ..analysis.reporting import format_table, format_title
 from ..api import Scenario, experiment, unwrap
-from ..core.wctt import make_wctt_analysis
 from ..faults.montecarlo import run_trials
 
 __all__ = ["ReliabilityRow", "run", "report"]
@@ -131,7 +131,7 @@ def run(
             (c for c in base_config.mesh.nodes() if c != mc),
             key=lambda c: (c.manhattan(mc), c.y, c.x),
         )[-1]
-        bound = make_wctt_analysis(base_config).wctt_message(
+        bound = make_analysis_backend(None).analysis(base_config).wctt_message(
             mc, victim, payload_flits=base_config.messages.reply_flits
         )
         for rate in fault_rates:

@@ -17,7 +17,7 @@ independently::
 The evaluation is the paper's all-to-one memory-traffic pattern: every node
 sends to the scenario's memory controller, and the packet WCTT bound of the
 scenario's design (regular or WaW+WaP analysis, chosen by
-:func:`make_wctt_analysis`) is summarised over all flows.
+``make_analysis_backend(None)``) is summarised over all flows.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from ..analysis import vector
+from ..analysis.backends import make_analysis_backend
 from ..analysis.reporting import format_table, format_title
 from ..api.registry import experiment
 from ..api.results import unwrap
 from ..api.scenario import Scenario
-from ..core import FlowSet, make_wctt_analysis, wctt_summary
 
 __all__ = ["ScenarioWCTTPoint", "run", "report"]
 
@@ -101,7 +102,9 @@ def run(
     paper's default dispatch; the scenario's own ``Scenario.analysis(...)``
     selection is honoured when the parameter is left ``None``.  Unlike
     ``engine`` this *changes numbers* -- backends are competing bounds -- so
-    an explicit backend takes precedence over the engine flag.
+    an explicit backend takes precedence over the engine flag.  A design the
+    backend does not bound (for the paper's, weighted arbitration without
+    WaP) raises the registry's ``ValueError``.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -117,23 +120,15 @@ def run(
 
     effective_analysis = analysis if analysis is not None else scenario.settings.get("analysis")
     label = scenario.label()
-    if effective_analysis is not None:
-        from ..analysis.backends import make_analysis_backend
-
-        backend = make_analysis_backend(effective_analysis)
-        backend.require(config)
-        summary = backend.wctt_summary(config, packet_flits=packet_flits)
-        if "analysis" not in scenario.settings:
-            label = f"{label}-{backend.name}"
+    backend = make_analysis_backend(effective_analysis)
+    backend.require(config)
+    # Read from the module at call time, where perfbench's tracer patches them.
+    if effective_analysis is None and engine == "auto" and vector.vector_supported(config) is None:
+        summary = vector.vector_wctt_summary(config, packet_flits=packet_flits)
     else:
-        from ..analysis.vector import vector_supported, vector_wctt_summary
-
-        if engine == "auto" and vector_supported(config) is None:
-            summary = vector_wctt_summary(config, packet_flits=packet_flits)
-        else:
-            flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
-            analysis_obj = make_wctt_analysis(config)
-            summary = wctt_summary(analysis_obj, flows, packet_flits=packet_flits)
+        summary = backend.wctt_summary(config, packet_flits=packet_flits)
+    if effective_analysis is not None and "analysis" not in scenario.settings:
+        label = f"{label}-{backend.name}"
     return [
         ScenarioWCTTPoint(
             label=label,

@@ -24,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from ..analysis.backends import make_analysis_backend
 from ..analysis.reporting import format_table, format_title
 from ..api import Scenario, experiment, unwrap
 from ..core.flows import FlowSet
-from ..core.wctt import WCTTSummary, make_wctt_analysis, wctt_summary
+from ..core.wctt import WCTTSummary, wctt_summary
 from ..core.wctt_weighted import WaWWaPWCTTAnalysis
 from ..geometry import Coord
 
@@ -105,7 +106,7 @@ def run(
         waw_cfg = base.waw_wap().max_packet_flits(packet_flits).build()
         flows = FlowSet.all_to_one(regular_cfg.mesh, dst)
 
-        regular_analysis = make_wctt_analysis(regular_cfg)
+        regular_analysis = make_analysis_backend("regular").analysis(regular_cfg)
         waw_analysis = WaWWaPWCTTAnalysis.for_memory_traffic(waw_cfg, include_replies=False)
 
         rows.append(

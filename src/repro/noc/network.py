@@ -23,12 +23,11 @@ The network exposes a deliberately small API to the layers above it
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.config import NoCConfig
 from ..core.weights import WeightTable
-from ..geometry import Coord, Mesh, Port
+from ..geometry import Coord, Port
 from ..sim import SimulationBackend, make_backend
 from .flit import Message
 from .nic import NIC
@@ -40,17 +39,12 @@ __all__ = ["Network"]
 _LOCAL = PORT_INDEX[Port.LOCAL]
 
 
-@lru_cache(maxsize=16)
-def _default_weights(mesh: Mesh) -> WeightTable:
-    """The default WaW table of ``mesh``, built once and shared: nothing mutates a table."""
-    return WeightTable.from_closed_form(mesh)
-
-
 class Network:
     """A complete wormhole NoC instance on the configured topology.
 
-    A ``weight_table`` must belong to the configured topology; a WaW design
-    without one shares its topology's all-to-all table.
+    ``weight_table`` goes to every :class:`~repro.noc.router.Router`, which
+    checks it against the topology (or, on a WaW design without one, shares
+    the topology's all-to-all table).
     """
 
     def __init__(
@@ -66,13 +60,6 @@ class Network:
         self.backend = make_backend(backend if backend is not None else config.sim_backend)
         self.mesh = config.mesh
         self.topology = config.topology
-        if weight_table is not None:
-            weight_table.require_topology(self.topology)
-        elif config.is_waw:
-            # Default WaW configuration: the all-to-all weights of the
-            # topology (closed-form on the XY mesh, flow-derived elsewhere).
-            weight_table = _default_weights(config.mesh)
-        self.weight_table = weight_table
 
         # A null fault model (all rates zero) is treated exactly like no
         # fault model at all: no injector, no HARQ state in the NICs, and a
@@ -87,6 +74,8 @@ class Network:
         self.routers: Dict[Coord, Router] = {
             coord: Router(coord, config, weight_table) for coord in self.topology.nodes()
         }
+        #: The weight table every router was built with.
+        self.weight_table: Optional[WeightTable] = next(iter(self.routers.values())).weight_table
         self.nics: Dict[Coord, NIC] = {
             coord: NIC(coord, config, reliability=reliability)
             for coord in self.topology.nodes()

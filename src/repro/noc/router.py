@@ -49,7 +49,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from ..core.arbitration import Arbiter, RoundRobinArbiter, WeightedRoundRobinArbiter
 from ..core.config import NoCConfig
 from ..core.weights import WeightTable
-from ..geometry import Coord, Port
+from ..geometry import Coord, Mesh, Port
 from ..topology import Topology
 from .buffer import FlitBuffer
 from .flit import Flit, FlitType
@@ -111,12 +111,20 @@ def _layouts(topology: Topology) -> Dict[Coord, _Layout]:
     return layouts
 
 
+@lru_cache(maxsize=16)
+def _default_weights(mesh: Mesh) -> WeightTable:
+    """The default WaW table of ``mesh``, built once and shared: nothing mutates a table."""
+    return WeightTable.from_closed_form(mesh)
+
+
 class Router:
     """One wormhole router of the mesh.
 
-    A WaW arbiter reads its contenders' credits from
-    ``weight_table.counts(coord)``: for a table of the configured topology
-    these are :meth:`~repro.core.weights.WeightTable.arbitration_weights`.
+    A ``weight_table`` must belong to the configured topology; a WaW router
+    without one shares its topology's all-to-all table.  A WaW arbiter reads
+    its contenders' credits from ``weight_table.counts(coord)``: for a table
+    of the configured topology these are
+    :meth:`~repro.core.weights.WeightTable.arbitration_weights`.
     """
 
     def __init__(
@@ -130,6 +138,13 @@ class Router:
         self.mesh = config.mesh
         self.topology = config.topology
         self.timing = config.timing
+        if weight_table is not None:
+            weight_table.require_topology(self.topology)
+        elif config.is_waw:
+            # Default WaW configuration: the all-to-all weights of the
+            # topology (closed-form on the XY mesh, flow-derived elsewhere).
+            weight_table = _default_weights(config.mesh)
+        self.weight_table = weight_table
         layout = _layouts(self.topology)[coord]
         self._routes = layout.routes
         self._depth = config.buffer_depth
@@ -153,7 +168,7 @@ class Router:
         #: no input may legally request.
         waw = config.is_waw
         if waw:
-            counts = weight_table.counts(coord).inputs if weight_table is not None else {}
+            counts = weight_table.counts(coord).inputs
             weights = [counts.get(port, 0) for port in PORTS]
         plan = []
         for out, contenders, numbers in layout.outputs:

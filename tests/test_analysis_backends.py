@@ -23,13 +23,13 @@ from repro.analysis.flowaware import (
     HolisticAnalysis,
     TrajectoryAnalysis,
 )
+from repro.api.engine import BatchEngine
 from repro.api.results import unwrap
 from repro.api.scenario import Scenario, ScenarioError, sweep
 from repro.core import (
     FlowSet,
     UBDTable,
     WeightTable,
-    make_wctt_analysis,
     regular_mesh_config,
     waw_wap_config,
 )
@@ -155,6 +155,37 @@ class TestSupports:
         assert vector.vector_supported(waw_wap_config(3, 3)) == (
             None if vector.HAS_NUMPY else "numpy is not installed"
         )
+
+
+WAW_ONLY = Scenario.mesh(3).waw_only()
+
+#: Every path that serves a paper bound without naming a backend.
+PAPER_BOUND_PATHS = {
+    "paper-analysis": lambda: make_analysis_backend(None).analysis(WAW_ONLY.build()),
+    "paper-summary": lambda: make_analysis_backend(None).wctt_summary(WAW_ONLY.build()),
+    "scenario_wctt-auto": lambda: scenario_wctt.run(scenario=WAW_ONLY, engine="auto"),
+    "scenario_wctt-scalar": lambda: scenario_wctt.run(scenario=WAW_ONLY, engine="scalar"),
+    "ubd-table": lambda: UBDTable(WAW_ONLY.build()),
+    "vector-summary": lambda: vector.vector_wctt_summary(WAW_ONLY.build()),
+}
+
+
+class TestWaWOnlyRefused:
+    """No paper bound covers weighted arbitration without WaP: the regular
+    bound assumes round-robin arbitration, and a simulated latency exceeds
+    it (tests/regressions/test_waw_only.py).  Every path refuses with the
+    registry's reason."""
+
+    @pytest.mark.parametrize("path", PAPER_BOUND_PATHS.values(), ids=PAPER_BOUND_PATHS)
+    def test_every_paper_bound_path_refuses(self, path):
+        with pytest.raises(ValueError, match="assumes round-robin arbitration"):
+            path()
+
+    def test_batch_engine_fails_only_the_waw_only_point(self):
+        jobs = [WAW_ONLY.as_job("scenario_wctt"), WAW_ONLY.waw_wap().as_job("scenario_wctt")]
+        refused, served = BatchEngine(use_cache=False).run_many(jobs)
+        assert not refused.ok and "assumes round-robin arbitration" in refused.error
+        assert served.ok and served.result.rows()[0]["design"] == "WaW+WaP"
 
 
 # ----------------------------------------------------------------------
@@ -328,5 +359,5 @@ class TestWiring:
             UBDTable(
                 config,
                 backend="holistic",
-                analysis=make_wctt_analysis(config),
+                analysis=make_analysis_backend(None).analysis(config),
             )

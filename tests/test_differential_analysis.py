@@ -25,7 +25,6 @@ from repro.analysis.vector import (
     VectorRegularAnalysis,
     VectorWaWWaPAnalysis,
     closed_form_count_arrays,
-    evaluate_grid,
     make_vector_analysis,
     vector_supported,
     vector_ubd_entries,
@@ -39,7 +38,6 @@ from repro.core import (
     FlowSet,
     UBDTable,
     WeightTable,
-    make_wctt_analysis,
     regular_mesh_config,
     waw_wap_config,
     wctt_map,
@@ -47,6 +45,7 @@ from repro.core import (
 )
 from repro.core.config import RouterTiming
 from repro.core.ubd import MemoryTiming
+from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.analysis.backends import make_analysis_backend
 from repro.experiments import scenario_wctt
@@ -55,6 +54,8 @@ from repro.topology import ConcentratedMesh
 
 MESHES = [(2, 2), (3, 3), (4, 4), (5, 3), (3, 5), (1, 5), (5, 1)]
 CONFIG_FNS = {"regular": regular_mesh_config, "waw_wap": waw_wap_config}
+#: The scalar reference: the paper's analysis of a design point.
+paper_analysis = make_analysis_backend(None).analysis
 
 
 @contextlib.contextmanager
@@ -104,7 +105,7 @@ class TestPacketMaps:
     @pytest.mark.parametrize("design", ["regular", "waw_wap"])
     def test_wctt_map_bit_identical(self, width, height, design):
         config = CONFIG_FNS[design](width, height)
-        scalar = make_wctt_analysis(config)
+        scalar = paper_analysis(config)
         vector = make_vector_analysis(config)
         for destination in _destinations(config.mesh):
             for packet_flits in (1, config.min_packet_flits if design == "waw_wap" else 7):
@@ -131,7 +132,7 @@ class TestPacketMaps:
         timing = RouterTiming(routing_latency=3, link_latency=2, flit_cycle=2)
         for design, fn in CONFIG_FNS.items():
             config = fn(3, 4, timing=timing, buffer_depth=2)
-            scalar = make_wctt_analysis(config)
+            scalar = paper_analysis(config)
             vector = make_vector_analysis(config)
             for destination in _destinations(config.mesh):
                 assert vector_wctt_map(vector, destination) == wctt_map(
@@ -144,7 +145,7 @@ class TestPacketMaps:
         config = dataclasses.replace(
             base, mesh=ConcentratedMesh(3, 3, concentration=concentration)
         )
-        scalar = make_wctt_analysis(config)
+        scalar = paper_analysis(config)
         vector = make_vector_analysis(config)
         for destination in _destinations(config.mesh):
             assert vector_wctt_map(vector, destination) == wctt_map(scalar, destination)
@@ -154,7 +155,7 @@ class TestMessageGrids:
     @pytest.mark.parametrize("payload", [1, 2, 4, 7, 16])
     def test_waw_message_to_and_from(self, payload):
         config = waw_wap_config(4, 3)
-        scalar = make_wctt_analysis(config)
+        scalar = paper_analysis(config)
         vector = make_vector_analysis(config)
         mc = config.memory_controller
         to_grid = vector.message_grid_to(mc, payload_flits=payload)
@@ -176,33 +177,18 @@ class TestSummaries:
     def test_summary_bit_identical_including_mean(self, width, height, design):
         config = CONFIG_FNS[design](width, height)
         flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
-        scalar = wctt_summary(make_wctt_analysis(config), flows)
+        scalar = wctt_summary(paper_analysis(config), flows)
         vector = vector_wctt_summary(config)
         # ``repr`` covers the float mean bit-for-bit and its type: 84 == 84.0
         # would hide a whole mean stored as a float.
         assert repr(vector) == repr(scalar)
 
-    def test_evaluate_grid_matches_scalar_per_point(self):
-        grid = sweep(
-            Scenario.mesh(4),
-            design=("regular", "waw_wap"),
-            buffer_depth=(1, 4),
-        )
-        summaries = evaluate_grid(grid)
-        assert len(summaries) == len(grid)
-        for scenario, summary in zip(grid, summaries):
-            config = scenario.build()
-            flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
-            assert repr(summary) == repr(wctt_summary(make_wctt_analysis(config), flows))
-
     @pytest.mark.parametrize("name", ["holistic", "trajectory"])
-    def test_evaluate_grid_honours_the_scenario_analysis(self, name):
-        # A selected backend is a competing bound: evaluate_grid must give
-        # that backend's summary, as scenario_wctt does, not the paper's.
+    def test_scenario_wctt_honours_the_scenario_analysis(self, name):
+        # A selected backend is a competing bound: scenario_wctt must give
+        # that backend's summary, not the paper's.
         scenario = Scenario.mesh(4).waw_wap().analysis(name)
-        [summary] = evaluate_grid([scenario])
-        expected = make_analysis_backend(name).wctt_summary(scenario.build())
-        assert repr(summary) == repr(expected)
+        summary = make_analysis_backend(name).wctt_summary(scenario.build())
         [point] = unwrap(scenario_wctt.run(scenario=scenario))
         assert (point.wctt_max, point.wctt_mean, point.wctt_min) == (
             summary.maximum,
@@ -249,11 +235,15 @@ class TestUBDTables:
 
 
 class TestExperimentWiring:
-    @pytest.mark.parametrize("design", ["regular", "waw_wap"])
-    def test_engine_flag_never_changes_results(self, design):
-        scenario = Scenario.mesh(4).design(design)
+    @pytest.mark.parametrize(
+        "scenario",
+        sweep(Scenario.mesh(4), design=("regular", "waw_wap"), buffer_depth=(1, 4)),
+        ids=Scenario.label,
+    )
+    def test_engine_flag_never_changes_results(self, scenario):
+        # ``repr`` covers the float mean bit-for-bit and its type.
         results = {
-            engine: unwrap(scenario_wctt.run(scenario=scenario, engine=engine))
+            engine: repr(unwrap(scenario_wctt.run(scenario=scenario, engine=engine)))
             for engine in scenario_wctt.ENGINES
         }
         assert results["scalar"] == results["auto"]
@@ -305,9 +295,13 @@ class TestSupportPredicate:
             VectorRegularAnalysis(yx)
 
 
+#: The paper's analyses built directly, without the registry.
+DIRECT = {"regular": RegularMeshWCTTAnalysis, "waw_wap": WaWWaPWCTTAnalysis}
+
+
 class TestAnalysisBackendParity:
     """Refactor safety: the paper analyses routed through AnalysisBackend
-    must stay bit-identical to the direct ``core.wctt_*`` calls."""
+    must stay bit-identical to the analyses built directly."""
 
     BACKEND_FOR_DESIGN = {"regular": "regular", "waw_wap": "weighted"}
 
@@ -316,7 +310,7 @@ class TestAnalysisBackendParity:
     def test_packet_maps_bit_identical(self, width, height, design):
         config = CONFIG_FNS[design](width, height)
         backend = make_analysis_backend(self.BACKEND_FOR_DESIGN[design])
-        direct = make_wctt_analysis(config)
+        direct = DIRECT[design](config)
         for destination in _destinations(config.mesh):
             assert backend.wctt_map(config, destination) == wctt_map(
                 direct, destination
@@ -329,7 +323,7 @@ class TestAnalysisBackendParity:
         backend = make_analysis_backend(self.BACKEND_FOR_DESIGN[design])
         flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
         assert backend.wctt_summary(config) == wctt_summary(
-            make_wctt_analysis(config), flows
+            DIRECT[design](config), flows
         )
 
     @pytest.mark.parametrize("width,height", MESHES)
@@ -338,7 +332,7 @@ class TestAnalysisBackendParity:
         for design, name in self.BACKEND_FOR_DESIGN.items():
             config = CONFIG_FNS[design](width, height)
             backend = make_analysis_backend(name)
-            direct = make_wctt_analysis(config)
+            direct = DIRECT[design](config)
             mc = config.memory_controller
             for node in _destinations(config.mesh):
                 if node == mc:

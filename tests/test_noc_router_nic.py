@@ -149,6 +149,17 @@ class TestRouter:
             isinstance(arb, WeightedRoundRobinArbiter) for arb in router.arbiters.values()
         )
 
+    @pytest.mark.parametrize("coord", [Coord(0, 0), Coord(1, 1), Coord(3, 2)])
+    def test_router_built_alone_matches_its_network_twin(self, coord):
+        # One code path resolves the default WaW table, inside the router.
+        config = waw_wap_config(4)
+        alone = Router(coord, config)
+        twin = Network(config).router(coord)
+        assert {port: arb.weights for port, arb in alone.arbiters.items()} == {
+            port: arb.weights for port, arb in twin.arbiters.items()
+        }
+        assert alone.weight_table is twin.weight_table
+
 
 class TestNIC:
     def test_send_message_validates_source(self):

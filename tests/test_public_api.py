@@ -11,7 +11,7 @@ import repro
 
 class TestPackageSurface:
     def test_version(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "1.9.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -35,11 +35,12 @@ class TestPackageSurface:
 
     def test_quickstart_snippet_from_docstring(self):
         """The snippet shown in the package docstring must actually work."""
-        from repro import make_wctt_analysis, regular_mesh_config
+        from repro import Scenario, make_analysis_backend
         from repro.geometry import Coord
 
-        analysis = make_wctt_analysis(regular_mesh_config(8, max_packet_flits=4))
-        bound = analysis.wctt_packet(Coord(7, 7), Coord(0, 0), packet_flits=1)
+        regular = Scenario.mesh(8).regular().max_packet_flits(4).build()
+        paper = make_analysis_backend(None).analysis(regular)
+        bound = paper.wctt_packet(Coord(7, 7), Coord(0, 0), packet_flits=1)
         assert bound > 0
 
 
@@ -53,15 +54,16 @@ class TestDesignPointRoundTrip:
             regular_mesh_config,
             waw_wap_config,
             wctt_map,
-            make_wctt_analysis,
+            make_analysis_backend,
         )
 
         regular = regular_mesh_config(4, max_packet_flits=4)
         waw = waw_wap_config(4, max_packet_flits=4)
 
         # Analytical side.
-        bounds_regular = wctt_map(make_wctt_analysis(regular), Coord(0, 0))
-        bounds_waw = wctt_map(make_wctt_analysis(waw), Coord(0, 0))
+        paper = make_analysis_backend(None)
+        bounds_regular = wctt_map(paper.analysis(regular), Coord(0, 0))
+        bounds_waw = wctt_map(paper.analysis(waw), Coord(0, 0))
         far = Coord(3, 3)
         assert bounds_waw[far] < bounds_regular[far]
         assert UBDTable(waw).load_ubd(far) < UBDTable(regular).load_ubd(far)

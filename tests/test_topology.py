@@ -10,11 +10,11 @@ and the ``Scenario.topology(...)`` validation surface.
 
 import pytest
 
+from repro.analysis.backends import make_analysis_backend
 from repro.api import Scenario, ScenarioError, sweep
 from repro.core.config import regular_mesh_config, waw_wap_config
 from repro.core.flows import FlowSet
 from repro.core.ubd import UBDTable
-from repro.core.wctt import make_wctt_analysis
 from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.core.weights import WeightTable
 from repro.geometry import Coord, Mesh, Port
@@ -122,8 +122,8 @@ class TestMesh2DEquivalence:
         for design in (regular_mesh_config, waw_wap_config):
             plain_cfg = design(4)
             topo_cfg = design(4).with_mesh(Mesh2D(4, 4))
-            plain_analysis = make_wctt_analysis(plain_cfg)
-            topo_analysis = make_wctt_analysis(topo_cfg)
+            plain_analysis = make_analysis_backend(None).analysis(plain_cfg)
+            topo_analysis = make_analysis_backend(None).analysis(topo_cfg)
             for src, dst in _all_pairs(Mesh2D(4, 4)):
                 assert plain_analysis.wctt_packet(
                     src, dst, packet_flits=1
@@ -230,7 +230,7 @@ class TestTorus:
 
     def test_end_to_end_analysis_and_simulation(self):
         config = waw_wap_config(4).with_mesh(Torus2D(4, 4))
-        analysis = make_wctt_analysis(config)
+        analysis = make_analysis_backend(None).analysis(config)
         bound = analysis.wctt_packet(Coord(3, 3), Coord(0, 0), packet_flits=1)
         assert bound > 0
         network = Network(config)

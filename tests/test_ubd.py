@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.backends import make_analysis_backend
 from repro.core.config import regular_mesh_config, waw_wap_config
 from repro.core.ubd import MemoryTiming, UBDTable
-from repro.core.wctt import make_wctt_analysis
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.geometry import Coord
 
@@ -33,7 +33,7 @@ class TestUBDTableRegular:
 
     def test_load_ubd_composition(self):
         """UBD = request WCTT + memory service + reply WCTT."""
-        analysis = make_wctt_analysis(self.config)
+        analysis = make_analysis_backend(None).analysis(self.config)
         core = Coord(2, 3)
         entry = self.table.entry(core)
         expected_request = analysis.wctt_message(core, Coord(0, 0), payload_flits=1)
@@ -43,7 +43,7 @@ class TestUBDTableRegular:
         assert entry.load_ubd == expected_request + 30 + expected_reply
 
     def test_eviction_ubd_composition(self):
-        analysis = make_wctt_analysis(self.config)
+        analysis = make_analysis_backend(None).analysis(self.config)
         core = Coord(3, 1)
         entry = self.table.entry(core)
         expected_evict = analysis.wctt_message(core, Coord(0, 0), payload_flits=4)

@@ -3,8 +3,8 @@
 Complements ``tests/test_differential_analysis.py`` (the fixed wide grid)
 with degenerate shapes -- single-row/column meshes, single-flow weight
 tables with zero-weight ports, unregulated contenders -- plus
-hypothesis-driven scalar-vs-vector equivalence over random design points
-and the :class:`GridEvaluator` caching contract.
+and hypothesis-driven scalar-vs-vector equivalence over random design
+points.
 """
 
 from __future__ import annotations
@@ -15,20 +15,16 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
+from repro.analysis.backends import make_analysis_backend
 from repro.analysis.vector import (
-    GridEvaluator,
     VectorWaWWaPAnalysis,
-    evaluate_grid,
     make_vector_analysis,
-    vector_supported,
     vector_wctt_map,
     vector_wctt_summary,
 )
-from repro.api.scenario import Scenario, sweep
 from repro.core import (
     FlowSet,
     WeightTable,
-    make_wctt_analysis,
     regular_mesh_config,
     waw_wap_config,
     wctt_map,
@@ -45,7 +41,7 @@ class TestDegenerateShapes:
     @pytest.mark.parametrize("design", ["regular", "waw_wap"])
     def test_single_row_and_column_meshes(self, width, height, design):
         config = CONFIG_FNS[design](width, height)
-        scalar = make_wctt_analysis(config)
+        scalar = make_analysis_backend(None).analysis(config)
         vector = make_vector_analysis(config)
         for destination in config.mesh.nodes():
             assert vector_wctt_map(vector, destination) == wctt_map(
@@ -61,7 +57,7 @@ class TestDegenerateShapes:
         config = waw_wap_config(2, 1)
         summary = vector_wctt_summary(config)
         flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
-        assert summary == wctt_summary(make_wctt_analysis(config), flows)
+        assert summary == wctt_summary(make_analysis_backend(None).analysis(config), flows)
 
 
 class TestZeroWeightPorts:
@@ -103,7 +99,7 @@ class TestProperties:
             return
         config = CONFIG_FNS[design](width, height, buffer_depth=buffer_depth)
         destination = Coord(dx, dy)
-        scalar = make_wctt_analysis(config)
+        scalar = make_analysis_backend(None).analysis(config)
         vector = make_vector_analysis(config)
         assert vector_wctt_map(vector, destination) == wctt_map(scalar, destination)
 
@@ -139,69 +135,3 @@ class TestProperties:
         too_big = config.min_packet_flits + 1
         with pytest.raises(ValueError, match="minimum size"):
             vector.wctt_grid_to(Coord(0, 0), packet_flits=too_big)
-
-
-class TestGridEvaluator:
-    def test_packet_size_variants_hit_the_cache(self):
-        evaluator = GridEvaluator()
-        scenario = Scenario.mesh(4).regular()
-        first = evaluator.summary(scenario, packet_flits=1)
-        second = evaluator.summary(scenario, packet_flits=3)
-        assert evaluator.misses == 1
-        assert evaluator.hits == 1
-        # And both variants still match a fresh scalar evaluation.
-        config = scenario.build()
-        flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
-        analysis = make_wctt_analysis(config)
-        assert first == wctt_summary(analysis, flows, packet_flits=1)
-        assert second == wctt_summary(analysis, flows, packet_flits=3)
-
-    def test_waw_bound_is_packet_size_independent(self):
-        evaluator = GridEvaluator()
-        scenario = Scenario.mesh(3).waw_wap()
-        one = evaluator.summary(scenario, packet_flits=1)
-        also_one = evaluator.summary(scenario, packet_flits=1)
-        assert one == also_one
-        assert (evaluator.hits, evaluator.misses) == (1, 1)
-
-    def test_waw_oversized_packet_rejected_from_cache_path(self):
-        evaluator = GridEvaluator()
-        scenario = Scenario.mesh(3).waw_wap()
-        evaluator.summary(scenario)
-        config = scenario.build()
-        with pytest.raises(ValueError, match="minimum size"):
-            evaluator.summary(scenario, packet_flits=config.min_packet_flits + 1)
-
-    def test_dict_form_scenarios_accepted(self):
-        evaluator = GridEvaluator()
-        scenario = Scenario.mesh(3).waw_wap()
-        assert evaluator.summary(scenario.to_dict()) == evaluator.summary(scenario)
-
-
-class TestEvaluateGrid:
-    def test_mixed_grid_falls_back_and_stays_complete(self):
-        grid = [
-            Scenario.mesh(3).waw_wap(),
-            Scenario.mesh(3).waw_wap().topology("torus"),
-            Scenario.mesh(3).regular().topology("mesh", routing="yx"),
-        ]
-        assert vector_supported(grid[1].build()) is not None
-        summaries = evaluate_grid(grid)
-        assert len(summaries) == 3
-        for scenario, summary in zip(grid, summaries):
-            config = scenario.build()
-            flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
-            assert summary == wctt_summary(make_wctt_analysis(config), flows)
-
-    def test_per_scenario_packet_sizes(self):
-        grid = sweep(Scenario.mesh(3), design=("regular", "regular"))
-        summaries = evaluate_grid(grid, packet_flits=[1, 4])
-        config = grid[0].build()
-        flows = FlowSet.all_to_one(config.mesh, config.memory_controller)
-        analysis = make_wctt_analysis(config)
-        assert summaries[0] == wctt_summary(analysis, flows, packet_flits=1)
-        assert summaries[1] == wctt_summary(analysis, flows, packet_flits=4)
-
-    def test_size_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="packet sizes"):
-            evaluate_grid([Scenario.mesh(3)], packet_flits=[1, 2])

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.backends import make_analysis_backend
 from repro.core.config import regular_mesh_config, waw_wap_config
 from repro.core.flows import FlowSet
-from repro.core.wctt import make_wctt_analysis, wctt_map, wctt_summary
+from repro.core.wctt import wctt_map, wctt_summary
 from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.core.weights import WeightTable
@@ -33,8 +34,8 @@ class TestConstruction:
         assert analysis.weights.output_round_flits(Coord(0, 0), Port.LOCAL) == 63
 
     def test_factory_dispatch(self):
-        assert isinstance(make_wctt_analysis(waw_wap_config(4)), WaWWaPWCTTAnalysis)
-        assert isinstance(make_wctt_analysis(regular_mesh_config(4)), RegularMeshWCTTAnalysis)
+        assert isinstance(make_analysis_backend(None).analysis(waw_wap_config(4)), WaWWaPWCTTAnalysis)
+        assert isinstance(make_analysis_backend(None).analysis(regular_mesh_config(4)), RegularMeshWCTTAnalysis)
 
 
 class TestPacketBounds:
@@ -86,7 +87,7 @@ class TestPacketBounds:
         """The proposal's entire point: distant flows get far better bounds."""
         size = 8
         waw = memory_analysis(size)
-        regular = make_wctt_analysis(regular_mesh_config(size, max_packet_flits=1))
+        regular = make_analysis_backend(None).analysis(regular_mesh_config(size, max_packet_flits=1))
         far = Coord(size - 1, size - 1)
         assert waw.wctt_packet(far, Coord(0, 0)) * 100 < regular.wctt_packet(
             far, Coord(0, 0), packet_flits=1
@@ -96,7 +97,7 @@ class TestPacketBounds:
         """Nodes adjacent to the MC can be slightly worse off (paper Table III)."""
         size = 8
         waw = memory_analysis(size)
-        regular = make_wctt_analysis(regular_mesh_config(size, max_packet_flits=1))
+        regular = make_analysis_backend(None).analysis(regular_mesh_config(size, max_packet_flits=1))
         near = Coord(1, 0)
         assert waw.wctt_packet(near, Coord(0, 0)) > regular.wctt_packet(
             near, Coord(0, 0), packet_flits=1
@@ -145,8 +146,8 @@ class TestIndependenceFromMaxPacketSize:
 
     def test_regular_bound_does_depend_on_max_packet_size(self):
         src, dst = Coord(7, 7), Coord(0, 0)
-        small = make_wctt_analysis(regular_mesh_config(8, max_packet_flits=1))
-        large = make_wctt_analysis(regular_mesh_config(8, max_packet_flits=8))
+        small = make_analysis_backend(None).analysis(regular_mesh_config(8, max_packet_flits=1))
+        large = make_analysis_backend(None).analysis(regular_mesh_config(8, max_packet_flits=8))
         assert large.wctt_packet(src, dst, packet_flits=1) > small.wctt_packet(
             src, dst, packet_flits=1
         )

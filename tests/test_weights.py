@@ -24,6 +24,7 @@ from repro.core.weights import (
 from repro.geometry import Coord, Mesh, Port
 from repro.manycore.system import ManycoreSystem
 from repro.noc.network import Network
+from repro.noc.router import Router
 
 
 class TestClosedForms:
@@ -269,6 +270,7 @@ class TestWeightTableCountsError:
 
 
 _CONSUMERS = {
+    "router": lambda config, table: Router(Coord(1, 1), config, table),
     "network": lambda config, table: Network(config, weight_table=table),
     "system": lambda config, table: ManycoreSystem(config, weight_table=table),
     "weighted": WaWWaPWCTTAnalysis,

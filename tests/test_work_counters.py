@@ -169,11 +169,3 @@ class TestDefaultPathVectorizes:
             scenario_wctt.run(scenario=scenario)
         assert [calls[0] for calls in scalar] == [0, 0]
         assert summaries[0] == len(points)
-
-    def test_evaluate_grid_runs_one_kernel_per_point(self, monkeypatch):
-        points = self._points()
-        scalar = self._scalar_calls(monkeypatch)
-        kernels = _count_calls(monkeypatch, vector, "make_vector_analysis")
-        vector.evaluate_grid(points)
-        assert [calls[0] for calls in scalar] == [0, 0]
-        assert kernels[0] == len(points)
