@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Union
 
 __all__ = [
     "CORRUPT",
@@ -135,14 +135,16 @@ class ReliabilityConfig:
             )
 
 
-def _link_stream(seed: int, x: int, y: int, port: str) -> random.Random:
-    """A deterministic, process-independent RNG stream for one link.
+def _link_stream(seed: int, link: str) -> random.Random:
+    """A deterministic, process-independent RNG stream for the link named ``link``.
 
-    The stream is derived through SHA-256 rather than ``hash()`` so it does
+    A link is named ``"x,y:port"`` after the router it leaves and the value
+    of that router's output port.  The stream is derived through SHA-256
+    rather than ``hash()`` so it does
     not depend on ``PYTHONHASHSEED`` and is identical across the batch
     engine's worker processes.
     """
-    digest = hashlib.sha256(f"{seed}:{x},{y}:{port}".encode("utf-8")).digest()
+    digest = hashlib.sha256(f"{seed}:{link}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -313,29 +315,28 @@ class LinkFaultInjector:
     """Mutable per-network runtime of a fault model: one RNG stream per link.
 
     The network calls :meth:`transmit` for every router-to-router link
-    traversal (local NIC-router connections are treated as reliable on-die
-    wiring).  The injector never removes flits from the stream -- it only
-    marks them (``flit.corrupted`` / ``flit.lost`` and the owning packet's
-    ``faulty`` flag), leaving flow control untouched; the destination NIC
-    turns the marks into discarded packets and NACKs.
+    traversal, with the link's name (see :func:`_link_stream`; local
+    NIC-router connections are treated as reliable on-die wiring).  The
+    injector never removes flits from the stream -- it only marks them
+    (``flit.corrupted`` / ``flit.lost`` and the owning packet's ``faulty``
+    flag), leaving flow control untouched; the destination NIC turns the
+    marks into discarded packets and NACKs.
     """
 
     def __init__(self, spec: FaultModel):
         self.spec = spec
-        self._links: Dict[Tuple[int, int, str], object] = {}
+        #: Runtime state of each link traversed so far, by link name.
+        self._links: Dict[str, object] = {}
         self.transmitted_flits = 0
         self.corrupted_flits = 0
         self.lost_flits = 0
 
-    def transmit(self, coord, port, flit) -> None:
-        """Decide the fate of one flit crossing the link ``(coord, port)``."""
-        key = (coord.x, coord.y, port.value)
-        state = self._links.get(key)
+    def transmit(self, link: str, flit) -> None:
+        """Decide the fate of one flit crossing the link named ``link``."""
+        state = self._links.get(link)
         if state is None:
-            state = self.spec._make_link_state(
-                _link_stream(self.spec.seed, coord.x, coord.y, port.value)
-            )
-            self._links[key] = state
+            state = self.spec._make_link_state(_link_stream(self.spec.seed, link))
+            self._links[link] = state
         self.transmitted_flits += 1
         outcome = state.draw()
         if outcome is None:

@@ -7,9 +7,9 @@ system, but any :class:`~repro.topology.Topology` (torus, ring, concentrated
 mesh) wires and simulates the same way, with each router exposing exactly
 the ports its topology gives it.  Within a cycle every NIC and every router
 is evaluated against the *previous* end-of-cycle state of its neighbours
-and emits events (inject, forward, eject, credit); the events are applied
-once everybody has been evaluated, so simulation results do not depend on
-the order in which routers are visited.
+and emits events (a NIC's inject, a router's flit move); the events are
+applied once everybody has been evaluated, injects first, so simulation
+results do not depend on the order in which routers are visited.
 
 The network exposes a deliberately small API to the layers above it
 (:mod:`repro.manycore`, :mod:`repro.workloads`):
@@ -23,15 +23,15 @@ The network exposes a deliberately small API to the layers above it
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.config import NoCConfig
 from ..core.weights import WeightTable
 from ..geometry import Coord, Port
 from ..sim import SimulationBackend, make_backend
-from .flit import Message
+from .flit import Flit, Message
 from .nic import NIC
-from .router import PORT_INDEX, PORTS, Router, _layouts
+from .router import PORT_INDEX, PORTS, Router, RouterEvent, _layouts
 from .stats import NetworkStats
 
 __all__ = ["Network"]
@@ -81,11 +81,13 @@ class Network:
             for coord in self.topology.nodes()
         }
         #: Wiring by port number (see :data:`repro.noc.router.PORTS`), read
-        #: from the per-topology layouts: for each router, its NIC and the
+        #: from the per-topology layouts: for each router, its NIC, the
         #: routers downstream of each output port and upstream of each input
-        #: port (``None`` where the port has no link).
+        #: port (``None`` where the port has no link), and the fault
+        #: injector's name of the link leaving through each output port.
         self._links: Dict[
-            Router, Tuple[NIC, List[Optional[Router]], List[Optional[Router]]]
+            Router,
+            Tuple[NIC, List[Optional[Router]], List[Optional[Router]], Tuple[str, ...]],
         ] = {}
         layouts = _layouts(self.topology)
         by_position = list(self.routers.values())
@@ -95,7 +97,7 @@ class Network:
                 [None if index is None else by_position[index] for index in neighbours]
                 for neighbours in (layout.downstream, layout.upstream)
             )
-            self._links[router] = (self.nics[coord], downstream, upstream)
+            self._links[router] = (self.nics[coord], downstream, upstream, layout.links)
         #: The router each NIC injects into.
         self._injects: Dict[NIC, Router] = {
             self.nics[coord]: router for coord, router in self.routers.items()
@@ -166,16 +168,17 @@ class Network:
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Advance the network by one clock cycle."""
-        events: List[tuple] = []
+        injects: List[Tuple[NIC, Flit]] = []
+        moves: List[RouterEvent] = []
         now = self.cycle
 
         for nic in self.nics.values():
             if nic.has_work():
-                nic.step(now, events)
+                nic.step(now, injects)
         for router in self.routers.values():
-            router.step(now, events)
+            router.step(now, moves)
 
-        self._apply_events(events, now)
+        self._apply_events(injects, moves, now)
         self._finish_cycle()
 
     def step_active(self) -> None:
@@ -188,15 +191,16 @@ class Network:
         the event-driven backend so the per-cycle cost scales with the
         traffic, not with the network size.
         """
-        events: List[tuple] = []
+        injects: List[Tuple[NIC, Flit]] = []
+        moves: List[RouterEvent] = []
         now = self.cycle
 
         for nic in self._busy_nics:
-            nic.step(now, events)
+            nic.step(now, injects)
         for router in list(self._busy_routers):
-            router.step(now, events)
+            router.step(now, moves)
 
-        self._apply_events(events, now)
+        self._apply_events(injects, moves, now)
         self._finish_cycle()
 
     def _finish_cycle(self) -> None:
@@ -298,7 +302,10 @@ class Network:
     # ------------------------------------------------------------------
     # Event application
     # ------------------------------------------------------------------
-    def _apply_events(self, events: Iterable[tuple], now: int) -> None:
+    def _apply_events(
+        self, injects: List[Tuple[NIC, Flit]], moves: List[RouterEvent], now: int
+    ) -> None:
+        """Apply one cycle's NIC injects, then its router moves, in emission order."""
         timing = self.config.timing
         head_delay = timing.routing_latency
         body_delay = timing.flit_cycle
@@ -306,47 +313,40 @@ class Network:
         injector = self.fault_injector
         links = self._links
         busy_routers = self._busy_routers
-        for event in events:
-            tag = event[0]
-            if tag == "forward":
-                _, router, out_port, flit = event
-                receiver = links[router][1][out_port]
-                if receiver is None:  # pragma: no cover - defensive
-                    raise RuntimeError(
-                        f"flit forwarded off the topology at {router.coord} {PORTS[out_port]}"
-                    )
-                if injector is not None:
-                    # Faults strike on router-to-router link traversals (the
-                    # local NIC-router connection is reliable on-die wiring).
-                    # Both backends funnel forwards through this one apply
-                    # path, so fault decisions are backend-independent.
-                    injector.transmit(router.coord, PORTS[out_port], flit)
-                delay = link_latency + (head_delay if flit.is_head else body_delay)
-                # Travel-direction naming: the flit enters on the input port
-                # with the number of the output it left through.
-                receiver._accept(out_port, flit, now + delay)
-                busy_routers[receiver] = None
-            elif tag == "eject":
-                _, router, flit = event
-                links[router][0].receive_flit(flit, now + 1)
+        for nic, flit in injects:
+            receiver = self._injects[nic]
+            receiver._accept(_LOCAL, flit, now + (head_delay if flit.is_head else body_delay))
+            busy_routers[receiver] = None
+        for router, in_port, out_port, flit in moves:
+            nic, downstream, upstream, names = links[router]
+            # The flit freed a slot of ``in_port``: credit whoever feeds it.
+            if in_port == _LOCAL:
+                nic.return_injection_credit()
+            else:
+                feeder = upstream[in_port]
+                if feeder is None:  # pragma: no cover - defensive
+                    raise RuntimeError(f"credit towards a missing neighbour at {router.coord}")
+                feeder._return_credit(in_port)
+            if out_port == _LOCAL:
+                nic.receive_flit(flit, now + 1)
                 self.stats.record_flit_hop(flit)
-            elif tag == "credit":
-                _, router, in_port = event
-                nic, _, upstream = links[router]
-                if in_port == _LOCAL:
-                    nic.return_injection_credit()
-                else:
-                    feeder = upstream[in_port]
-                    if feeder is None:  # pragma: no cover - defensive
-                        raise RuntimeError(f"credit towards a missing neighbour at {router.coord}")
-                    feeder._return_credit(in_port)
-            elif tag == "inject":
-                _, nic, flit = event
-                receiver = self._injects[nic]
-                receiver._accept(_LOCAL, flit, now + (head_delay if flit.is_head else body_delay))
-                busy_routers[receiver] = None
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown event {tag!r}")
+                continue
+            receiver = downstream[out_port]
+            if receiver is None:  # pragma: no cover - defensive
+                raise RuntimeError(
+                    f"flit forwarded off the topology at {router.coord} {PORTS[out_port]}"
+                )
+            if injector is not None:
+                # Faults strike on router-to-router link traversals (the
+                # local NIC-router connection is reliable on-die wiring).
+                # Both backends funnel forwards through this one apply
+                # path, so fault decisions are backend-independent.
+                injector.transmit(names[out_port], flit)
+            delay = link_latency + (head_delay if flit.is_head else body_delay)
+            # Travel-direction naming: the flit enters on the input port
+            # with the number of the output it left through.
+            receiver._accept(out_port, flit, now + delay)
+            busy_routers[receiver] = None
 
     # ------------------------------------------------------------------
     # Introspection helpers (used by tests and experiments)

@@ -2,11 +2,12 @@
 
 The NIC sits between a node (core or memory controller) and its router.  On
 the send side it packetizes messages according to the configured policy
-(regular single-packet or WaP minimum-size slicing), serialises the resulting
-flits and injects them into the router's LOCAL input buffer under credit flow
-control, one flit per cycle.  On the receive side it reassembles packets into
-messages and notifies registered listeners (the manycore protocol handlers,
-the statistics collector) when a message completes.
+(regular single-packet or WaP minimum-size slicing, computed once per message
+size and kind), serialises the resulting flits and injects them into the
+router's LOCAL input buffer under credit flow control, one flit per cycle.
+On the receive side it reassembles packets into messages and notifies
+registered listeners (the manycore protocol handlers, the statistics
+collector) when a message completes.
 
 When the network carries a (non-null) fault model, each NIC additionally
 runs the HARQ-style reliability protocol of :mod:`repro.faults`:
@@ -14,7 +15,8 @@ runs the HARQ-style reliability protocol of :mod:`repro.faults`:
 * the send side stamps every message with a per-NIC sequence number, tracks
   it as *pending* until acknowledged, and retransmits it -- as a fresh
   packetization with an incremented ``attempt`` number -- when a NACK
-  arrives or the (exponentially backed-off) ACK timeout expires;
+  arrives or the (exponentially backed-off) ACK timeout expires (the NIC
+  rescans its timers only once the earliest deadline can have passed);
 * the receive side reassembles per ``(message, attempt)``, discards
   attempts whose packets carry fault marks (answering with a NACK so the
   sender can retransmit without waiting for the timeout), delivers each
@@ -38,7 +40,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core.config import NoCConfig
-from ..core.packetization import MessageDescriptor, Packetizer, make_packetizer
+from ..core.packetization import MessageDescriptor, PacketDescriptor, Packetizer, make_packetizer
 from ..faults.models import MessageDeliveryError, ReliabilityConfig
 from ..geometry import Coord
 from .flit import Flit, Message, Packet
@@ -110,10 +112,15 @@ class NIC:
         self._expected_packets: Dict[int, int] = {}
         self._pending_messages: Dict[int, Message] = {}
 
+        #: Packet descriptors of each ``(payload_flits, kind)`` sent so far.
+        self._shapes: Dict[Tuple[int, str], List[PacketDescriptor]] = {}
         # Reliability (HARQ) state -- all empty unless ``reliability`` is set.
         self._sequence_counter = 0
         #: Unacknowledged sent messages: message_id -> pending record.
         self._pending: Dict[int, _PendingReliable] = {}
+        #: A lower bound of every pending ACK deadline: :meth:`step` scans
+        #: the timers only once it has passed.
+        self._next_deadline = 0
         #: Receive-side reassembly per (message_id, attempt).
         self._attempts: Dict[Tuple[int, int], _AttemptState] = {}
         #: Message ids already delivered to the listeners (duplicates from
@@ -153,11 +160,9 @@ class NIC:
             message.sequence = self._sequence_counter
             self._sequence_counter += 1
             queued = self._enqueue_packets(message, attempt=1)
-            self._pending[message.message_id] = _PendingReliable(
-                message,
-                deadline=now + self.reliability.retry_timeout(1),
-                queued_flits=queued,
-            )
+            deadline = now + self.reliability.retry_timeout(1)
+            self._next_deadline = min(self._next_deadline, deadline) if self._pending else deadline
+            self._pending[message.message_id] = _PendingReliable(message, deadline, queued)
         else:
             self._enqueue_packets(message, attempt=1)
         self.sent_messages.append(message)
@@ -166,9 +171,14 @@ class NIC:
 
     def _enqueue_packets(self, message: Message, attempt: int) -> int:
         """Packetize ``message`` and queue its flits; returns the flit count."""
-        descriptor = MessageDescriptor(payload_flits=message.payload_flits, kind=message.kind)
+        shape = (message.payload_flits, message.kind)
+        descriptors = self._shapes.get(shape)
+        if descriptors is None:
+            descriptors = self._shapes[shape] = self.packetizer.packetize(
+                MessageDescriptor(payload_flits=message.payload_flits, kind=message.kind)
+            )
         queued = 0
-        for pkt_desc in self.packetizer.packetize(descriptor):
+        for pkt_desc in descriptors:
             packet = Packet(
                 message=message,
                 size_flits=pkt_desc.flits,
@@ -176,9 +186,9 @@ class NIC:
                 total=pkt_desc.total,
                 attempt=attempt,
             )
-            for flit in packet.make_flits():
-                self._injection_queue.append(flit)
-                queued += 1
+            flits = packet.make_flits()
+            self._injection_queue.extend(flits)
+            queued += len(flits)
         return queued
 
     def pending_injection_flits(self) -> int:
@@ -201,9 +211,9 @@ class NIC:
             return None
         return min(pending.deadline for pending in self._pending.values())
 
-    def step(self, now: int, events: List[Tuple]) -> None:
-        """Service retransmit timers, then inject at most one flit this cycle."""
-        if self._pending:
+    def step(self, now: int, injects: List[Tuple["NIC", Flit]]) -> None:
+        """Service expired retransmit timers, then inject at most one flit as ``(nic, flit)``."""
+        if self._pending and now >= self._next_deadline:
             self._service_timers(now)
         if not self._injection_queue or self.injection_credits <= 0:
             return
@@ -220,9 +230,10 @@ class NIC:
                     # The attempt is now fully in the network: start the ACK
                     # wait here, so queueing delay cannot eat the timeout
                     # window and trigger spurious retransmissions.
+                    # (A later deadline: ``_next_deadline`` stays a lower bound.)
                     pending.deadline = now + self.reliability.retry_timeout(pending.attempt)
         self.injected_flits += 1
-        events.append(("inject", self, flit))
+        injects.append((self, flit))
 
     def return_injection_credit(self) -> None:
         """The router freed one slot of its LOCAL input buffer."""
@@ -244,6 +255,7 @@ class NIC:
                 pending.deadline = now + self.reliability.retry_timeout(pending.attempt)
                 continue
             self._retransmit(pending, now, reason="ACK timeout")
+        self._next_deadline = min(pending.deadline for pending in self._pending.values())
 
     def _retransmit(self, pending: _PendingReliable, now: int, *, reason: str) -> None:
         """Launch the next transmission attempt or give up with a clear error."""
@@ -261,6 +273,7 @@ class NIC:
         self.retransmissions += 1
         pending.queued_flits = self._enqueue_packets(message, attempt=pending.attempt)
         pending.deadline = now + reliability.retry_timeout(pending.attempt)
+        self._next_deadline = min(self._next_deadline, pending.deadline)
 
     def _send_control(self, kind: str, original: Message, attempt: int, now: int) -> None:
         """Queue a single-flit ACK/NACK towards ``original``'s sender."""

@@ -32,13 +32,14 @@ port in :data:`PORTS`, so the hot loop never hashes a
 Each router position's ports, legal contenders and neighbours are computed
 once per topology and shared, so building a router only creates its state.
 
-Routers never move flits directly; they emit *events* (forward, eject,
-credit return) that the :class:`~repro.noc.network.Network` applies at the
-end of the cycle, making the simulation independent of the order in which
-routers are evaluated within a cycle.  Within one router, output ports are
-served in topology order against the router's live state: a tail flit
-forwarded through an earlier output releases its input, and the next head
-flit of that input may win a later output in the same cycle.
+Routers never move flits directly; they emit one *move* event per flit
+leaving an input, which the :class:`~repro.noc.network.Network` applies at
+the end of the cycle (the input's credit goes upstream, then the flit is
+forwarded or ejected), so results do not depend on the order in which
+routers are evaluated.  Within one router, output ports are served in
+topology order against the router's live state: a tail flit forwarded
+through an earlier output releases its input, and the next head flit of
+that input may win a later output in the same cycle.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ _LOCAL = PORT_INDEX[Port.LOCAL]
 _HEADS = (FlitType.HEAD, FlitType.HEAD_TAIL)
 _TAILS = (FlitType.TAIL, FlitType.HEAD_TAIL)
 
-#: Events a router emits during one cycle, applied by the network afterwards
-#: (ports are port numbers, see :data:`PORTS`):
-#: ``("forward", router, out_port, flit)`` -- flit leaves through a directional output;
-#: ``("eject", router, flit)``             -- flit is delivered to the local NIC;
-#: ``("credit", router, in_port)``         -- one credit is returned upstream of ``in_port``.
-RouterEvent = Tuple
+#: The event of one flit move, applied by the network after every router
+#: stepped: ``(router, in_port, out_port, flit)`` (port numbers, see
+#: :data:`PORTS`).  ``flit`` left the buffer of ``in_port``, so one credit
+#: goes back to whoever feeds that input; it leaves through ``out_port``,
+#: towards the downstream router or, when that is ``LOCAL``, to the NIC.
+RouterEvent = Tuple["Router", int, int, Flit]
 
 
 class _Layout(NamedTuple):
@@ -87,6 +88,9 @@ class _Layout(NamedTuple):
     #: port (``None`` where the port has no link).
     downstream: Tuple[Optional[int], ...]
     upstream: Tuple[Optional[int], ...]
+    #: By port number, the name of the link leaving through each output
+    #: port: the fault injector seeds the link's RNG stream from it.
+    links: Tuple[str, ...]
     #: Lookahead routing memo: destination ``(x, y)`` -> output port number.
     routes: Dict[Tuple[int, int], int]
 
@@ -107,7 +111,8 @@ def _layouts(topology: Topology) -> Dict[Coord, _Layout]:
             tuple(position.get(neighbour(coord, port)) for port in PORTS)
             for neighbour in (topology.downstream, topology.upstream)
         )
-        layouts[coord] = _Layout(inputs, tuple(outputs), downstream, upstream, {})
+        links = tuple(f"{coord.x},{coord.y}:{port.value}" for port in PORTS)
+        layouts[coord] = _Layout(inputs, tuple(outputs), downstream, upstream, links, {})
     return layouts
 
 
@@ -164,22 +169,24 @@ class Router:
         #: Credits towards the downstream buffer of each directional output.
         self._credits: List[int] = [config.buffer_depth] * len(PORTS)
         #: Per output port, in topology order: ``(port number, arbiter,
-        #: contender port numbers)``; the arbiter is ``None`` for an output
-        #: no input may legally request.
+        #: contender port numbers, counters, weights)``; the arbiter is
+        #: ``None`` for an output no input may legally request.  An idle cycle
+        #: changes nothing while a WaW arbiter's counter list equals its weight
+        #: list (both ``None`` for round-robin, which keeps no idle state).
         waw = config.is_waw
         if waw:
             counts = weight_table.counts(coord).inputs
             weights = [counts.get(port, 0) for port in PORTS]
         plan = []
         for out, contenders, numbers in layout.outputs:
-            if not contenders:
-                arbiter = None
-            elif waw:
+            arbiter = counters = weights_at = None
+            if contenders and waw:
                 arbiter = WeightedRoundRobinArbiter(contenders, [weights[n] for n in numbers])
-            else:
+                counters, weights_at = arbiter._credits, arbiter._weights
+            elif contenders:
                 arbiter = RoundRobinArbiter(contenders)
-            plan.append((out, arbiter, numbers))
-        self._plan: Tuple[Tuple[int, Optional[Arbiter], Tuple[int, ...]], ...] = tuple(plan)
+            plan.append((out, arbiter, numbers, counters, weights_at))
+        self._plan: Tuple[tuple, ...] = tuple(plan)
 
         # Statistics / idle bookkeeping.
         self.forwarded_flits = 0
@@ -196,14 +203,14 @@ class Router:
     @property
     def arbiters(self) -> Dict[Port, Arbiter]:
         """The arbiter of each output port that some input may request."""
-        return {PORTS[out]: arbiter for out, arbiter, _ in self._plan if arbiter is not None}
+        return {PORTS[out]: arbiter for out, arbiter, *_ in self._plan if arbiter is not None}
 
     @property
     def output_owner(self) -> Dict[Port, Optional[Port]]:
         """The input port holding each output port's wormhole lock (``None`` if free)."""
         return {
             PORTS[out]: None if self._owner[out] is None else PORTS[self._owner[out]]
-            for out, _, _ in self._plan
+            for out, *_ in self._plan
         }
 
     # ------------------------------------------------------------------
@@ -215,6 +222,9 @@ class Router:
 
     def _accept(self, port: int, flit: Flit, ready_cycle: int) -> None:
         """Enqueue ``flit`` on input port number ``port``; route it if it is a head."""
+        fifo = self._fifos[port]
+        if len(fifo) >= self._depth:
+            raise OverflowError(f"{self._buffers[port].name}: push into a full buffer")
         flit.ready_cycle = ready_cycle
         if flit.flit_type in _HEADS:
             destination = flit.packet.message.destination
@@ -224,7 +234,7 @@ class Router:
                 route = PORT_INDEX[self.topology.output_port(self.coord, destination)]
                 self._routes[key] = route
             flit.route = route
-        self._buffers[port].push(flit)
+        fifo.append(flit)
         self._flits += 1
 
     def buffered_flits(self) -> int:
@@ -269,20 +279,22 @@ class Router:
             self._settle_idle()
             return
         self._was_idle = False
-        for out, arbiter, _ in self._plan:
+        for out, arbiter, *_ in self._plan:
             if arbiter is not None and self._owner[out] is None:
                 arbiter.idle_cycles(cycles)
 
     def _settle_idle(self) -> None:
         """Apply the one-time arbiter refill of a router that went quiet.
 
-        The WaW credit counters refill while their output ports sit idle;
-        doing it once (capped at the buffer depth) when the router goes quiet
-        is equivalent to calling idle_cycle every empty cycle.
+        Every arbiter, a locked output's included, gets ``buffer_depth`` idle
+        cycles once per quiet stretch, however long the stretch lasts.  The
+        paper's arbiter refills one credit per idle cycle instead, so a WaW
+        counter more than ``buffer_depth`` below its weight stays below it
+        (``tests/regressions/test_quiet_router_refill.py``).
         """
         if self._was_idle:
             return
-        for _, arbiter, _ in self._plan:
+        for _, arbiter, *_ in self._plan:
             if arbiter is not None:
                 arbiter.idle_cycles(self._depth)
         self._was_idle = True
@@ -290,8 +302,8 @@ class Router:
     # ------------------------------------------------------------------
     # One simulation cycle
     # ------------------------------------------------------------------
-    def step(self, now: int, events: List[RouterEvent]) -> None:
-        """Evaluate one cycle, appending the resulting events to ``events``.
+    def step(self, now: int, moves: List[RouterEvent]) -> None:
+        """Evaluate one cycle, appending one event per flit move to ``moves``.
 
         Output ports are served in topology order.  A free output polls its
         legal contenders for a ready head flit routed to it; the owner of a
@@ -307,11 +319,22 @@ class Router:
         fifos = self._fifos
         owner = self._owner
         credits = self._credits
+        moved = 0
+        # One bit per output port number that a ready head-of-line flit is
+        # routed to; a free output without its bit has no requester.
+        wanted = 0
+        for fifo in fifos:
+            if fifo and fifo[0].route >= 0 and fifo[0].ready_cycle <= now:
+                wanted |= 1 << fifo[0].route
 
-        for out, arbiter, contenders in self._plan:
+        for out, arbiter, contenders, counters, weights in self._plan:
             holder = owner[out]
             if holder is None:
                 if arbiter is None:
+                    continue
+                if not wanted >> out & 1:
+                    if counters != weights:
+                        arbiter.idle_cycle()
                     continue
                 # No per-input grant state is needed: a granted head leaves
                 # in the cycle it wins, and body/tail flits carry route -1,
@@ -339,20 +362,21 @@ class Router:
             flit = fifo[0]
             if flit.ready_cycle > now:
                 continue
-            if out != _LOCAL and credits[out] <= 0:
-                continue
-            del fifo[0]
-            self._flits -= 1
-            self.forwarded_flits += 1
-            # Return a credit to whoever feeds this input port.
-            events.append(("credit", self, holder))
-            if out == _LOCAL:
-                events.append(("eject", self, flit))
-            else:
+            if out != _LOCAL:
+                if credits[out] <= 0:
+                    continue
                 credits[out] -= 1
-                events.append(("forward", self, out, flit))
+            del fifo[0]
+            moved += 1
+            moves.append((self, holder, out, flit))
             if flit.flit_type in _TAILS:
                 owner[out] = None
+                # The next flit of this input is a head: it may request a
+                # later output in this same cycle.
+                if fifo and fifo[0].ready_cycle <= now:
+                    wanted |= 1 << fifo[0].route
+        self._flits -= moved
+        self.forwarded_flits += moved
 
     # ------------------------------------------------------------------
     def return_credit(self, out_port: Port) -> None:

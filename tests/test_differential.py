@@ -274,6 +274,33 @@ def test_faulty_network_backends_bit_identical(model):
     assert snapshots["cycle"]["completed"] == snapshots["cycle"]["sent"]
 
 
+def test_faulty_8x8_hotspot_backends_bit_identical():
+    """Every node of the 8x8 WaW+WaP mesh sends one 4-flit load to (0,0) over
+    lossy links: a long, contended drain with NACKs and ACK timeouts, in
+    which the event backend's busy sets must keep every NIC that still
+    waits on an acknowledgement."""
+    hotspot = Coord(0, 0)
+    snapshots = {}
+    for backend in BACKENDS:
+        config = (
+            Scenario.mesh(8)
+            .waw_wap()
+            .fault_model("independent", corrupt_rate=0.0025, loss_rate=0.0025,
+                         seed=7, ack_timeout=128)
+            .backend(backend)
+            .build()
+        )
+        network = Network(config)
+        for src in config.mesh.nodes():
+            if src != hotspot:
+                network.send(src, hotspot, 4, kind="load")
+        network.run_until_idle(max_cycles=1_000_000)
+        snapshots[backend] = _faulty_network_snapshot(network)
+    assert snapshots["event"] == snapshots["cycle"]
+    assert snapshots["cycle"]["completed"] == snapshots["cycle"]["sent"] == 63
+    assert snapshots["cycle"]["retransmissions"] > 0
+
+
 def test_faulty_system_backends_bit_identical():
     """Manycore run under faults: cores + MC + HARQ agree across backends."""
     snapshots = {}

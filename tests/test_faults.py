@@ -110,7 +110,7 @@ class TestFactory:
 class TestInjectorStreams:
     def _draws(self, spec: FaultModel, coord: Coord, port: Port, n: int):
         state = spec._make_link_state(
-            _link_stream(spec.seed, coord.x, coord.y, port.value)
+            _link_stream(spec.seed, f"{coord.x},{coord.y}:{port.value}")
         )
         return [state.draw() for _ in range(n)]
 

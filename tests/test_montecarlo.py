@@ -163,6 +163,20 @@ class TestRunTrials:
         # A failed study still serialises cleanly.
         assert result.as_dict()["failure_rate"] == 1.0
 
+    def test_uniform_8x8_trial_delivers_every_message(self):
+        """HARQ recovers every message of a uniform-traffic trial on the 8x8
+        WaW+WaP mesh at a 0.005 total flit-fault rate."""
+        config = (
+            Scenario.mesh(8)
+            .waw_wap()
+            .fault_model("independent", corrupt_rate=0.0025, loss_rate=0.0025, ack_timeout=128)
+            .build()
+        )
+        result = run_trials(config, trials=1, workload="uniform", injection_rate=0.05, cycles=300)
+        assert result.failed_trials == 0
+        assert result.total_retransmissions > 0
+        assert result.distribution.count == result.outcomes[0].delivered_messages > 0
+
     def test_eembc_workload_produces_reply_samples(self):
         result = run_trials(_faulty_config(), trials=2, workload="eembc",
                             scale=0.002, background=2)

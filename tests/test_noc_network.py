@@ -233,7 +233,7 @@ class TestBuildMatchesPortReference:
                 if config.is_waw:
                     assert list(arbiter.weights.items()) == list(want.weights.items()), (coord, out)
 
-            nic, downstream, upstream = network._links[router]
+            nic, downstream, upstream, _ = network._links[router]
             assert nic is network.nics[coord]
             for links, neighbour in ((downstream, topology.downstream), (upstream, topology.upstream)):
                 for port in PORTS:

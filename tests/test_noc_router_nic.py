@@ -9,13 +9,23 @@ from repro.geometry import Coord, Port
 from repro.noc.flit import Message, Packet
 from repro.noc.network import Network
 from repro.noc.nic import NIC
-from repro.noc.router import PORTS, Router
+from repro.noc.router import PORT_INDEX, PORTS, Router
 
 
 def make_flits(src, dst, size):
     message = Message(source=src, destination=dst, payload_flits=size)
     packet = Packet(message=message, size_flits=size, index=0, total=1)
     return packet.make_flits()
+
+
+def forwards(moves):
+    """The ``(router, in_port, out_port, flit)`` moves through a directional output."""
+    return [move for move in moves if move[2] != PORT_INDEX[Port.LOCAL]]
+
+
+def ejects(moves):
+    """The moves that deliver a flit to the local NIC."""
+    return [move for move in moves if move[2] == PORT_INDEX[Port.LOCAL]]
 
 
 class TestRouter:
@@ -40,24 +50,25 @@ class TestRouter:
         router = Router(Coord(1, 0), config)
         flit = make_flits(Coord(1, 0), Coord(0, 0), 1)[0]
         router.accept_flit(Port.LOCAL, flit, ready_cycle=3)
-        events = []
-        router.step(0, events)  # not ready yet
-        assert not [e for e in events if e[0] == "forward"]
-        events = []
-        router.step(3, events)
-        forwards = [e for e in events if e[0] == "forward"]
-        assert len(forwards) == 1
-        assert PORTS[forwards[0][2]] is Port.XMINUS  # XY routing towards (0,0)
+        moves = []
+        router.step(0, moves)  # not ready yet
+        assert not forwards(moves)
+        moves = []
+        router.step(3, moves)
+        forwarded = forwards(moves)
+        assert len(forwarded) == 1
+        assert PORTS[forwarded[0][2]] is Port.XMINUS  # XY routing towards (0,0)
 
     def test_ejection_event_for_local_destination(self):
         config = regular_mesh_config(4)
         router = Router(Coord(0, 0), config)
         flit = make_flits(Coord(1, 0), Coord(0, 0), 1)[0]
         router.accept_flit(Port.XMINUS, flit, ready_cycle=0)
-        events = []
-        router.step(0, events)
-        assert any(e[0] == "eject" for e in events)
-        assert any(e[0] == "credit" and PORTS[e[2]] is Port.XMINUS for e in events)
+        moves = []
+        router.step(0, moves)
+        assert ejects(moves)
+        # The move returns the credit of the input it left.
+        assert any(PORTS[move[1]] is Port.XMINUS for move in moves)
 
     def test_output_lock_until_tail(self):
         """A multi-flit packet holds its output port until the tail leaves."""
@@ -65,31 +76,30 @@ class TestRouter:
         router = Router(Coord(1, 0), config)
         for flit in make_flits(Coord(1, 0), Coord(0, 0), 3):
             router.accept_flit(Port.LOCAL, flit, ready_cycle=0)
-        events = []
-        router.step(0, events)
+        moves = []
+        router.step(0, moves)
         assert router.output_owner[Port.XMINUS] is Port.LOCAL
-        router.step(1, events)
+        router.step(1, moves)
         assert router.output_owner[Port.XMINUS] is Port.LOCAL
-        router.step(2, events)  # tail forwarded
+        router.step(2, moves)  # tail forwarded
         assert router.output_owner[Port.XMINUS] is None
-        forwards = [e for e in events if e[0] == "forward"]
-        assert len(forwards) == 3
+        assert len(forwards(moves)) == 3
 
     def test_no_forward_without_credit(self):
         config = regular_mesh_config(4, buffer_depth=1)
         router = Router(Coord(1, 0), config)
         first, second = (make_flits(Coord(1, 0), Coord(0, 0), 1)[0] for _ in range(2))
         router.accept_flit(Port.LOCAL, first, ready_cycle=0)
-        events = []
-        router.step(0, events)  # spends the only credit towards (0,0)
-        assert [e for e in events if e[0] == "forward"]
+        moves = []
+        router.step(0, moves)  # spends the only credit towards (0,0)
+        assert forwards(moves)
         router.accept_flit(Port.LOCAL, second, ready_cycle=1)
-        events = []
-        router.step(1, events)
-        assert not [e for e in events if e[0] == "forward"]
+        moves = []
+        router.step(1, moves)
+        assert not forwards(moves)
         router.return_credit(Port.XMINUS)
-        router.step(2, events)
-        assert [e for e in events if e[0] == "forward"]
+        router.step(2, moves)
+        assert forwards(moves)
 
     def test_tail_then_head_in_one_cycle(self):
         """A tail leaving through an earlier output frees its input, whose
@@ -100,13 +110,12 @@ class TestRouter:
         for flit in first + second[:1]:
             router.accept_flit(Port.XPLUS, flit, ready_cycle=0)
         router.step(0, [])  # the first head is ejected
-        events = []
-        router.step(1, events)
-        ejects = [e for e in events if e[0] == "eject"]
-        forwards = [e for e in events if e[0] == "forward"]
-        assert len(ejects) == 1 and ejects[0][2] is first[1]
-        assert len(forwards) == 1 and forwards[0][3] is second[0]
-        assert PORTS[forwards[0][2]] is Port.XPLUS
+        moves = []
+        router.step(1, moves)
+        ejected, forwarded = ejects(moves), forwards(moves)
+        assert len(ejected) == 1 and ejected[0][3] is first[1]
+        assert len(forwarded) == 1 and forwarded[0][3] is second[0]
+        assert PORTS[forwarded[0][2]] is Port.XPLUS
 
     def test_flit_count_tracks_buffers(self):
         """has_work/buffered_flits read a maintained count that always
@@ -186,15 +195,15 @@ class TestNIC:
         nic = NIC(Coord(1, 1), config)
         message = Message(source=Coord(1, 1), destination=Coord(0, 0), payload_flits=4)
         nic.send_message(message, now=0)
-        events = []
+        injects = []
         for cycle in range(3):
-            nic.step(cycle, events)
+            nic.step(cycle, injects)
         # Only two credits were available: two flits injected, queue holds the rest.
-        assert len([e for e in events if e[0] == "inject"]) == 2
+        assert len(injects) == 2
         assert nic.injection_credits == 0
         nic.return_injection_credit()
-        nic.step(3, events)
-        assert len([e for e in events if e[0] == "inject"]) == 3
+        nic.step(3, injects)
+        assert len(injects) == 3
 
     def test_reassembly_and_listener(self):
         config = waw_wap_config(4)
@@ -205,11 +214,11 @@ class TestNIC:
 
         message = Message(source=Coord(1, 1), destination=Coord(0, 0), payload_flits=4)
         sender.send_message(message, now=0)
-        events = []
+        injects = []
         while sender.has_work():
-            sender.step(len(events), events)
+            sender.step(len(injects), injects)
             sender.return_injection_credit()
-        flits = [e[2] for e in events if e[0] == "inject"]
+        flits = [flit for _, flit in injects]
         for i, flit in enumerate(flits[:-1]):
             receiver.receive_flit(flit, now=10 + i)
             assert not completed  # incomplete until the last slice arrives

@@ -22,9 +22,11 @@ from repro.api import Scenario, sweep
 from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.experiments import scenario_wctt
+from repro.faults.models import LinkFaultInjector
 from repro.geometry import Coord, Mesh
 from repro.manycore.system import ManycoreSystem
 from repro.noc.network import Network
+from repro.noc.nic import NIC
 from repro.noc.router import Router
 from repro.workloads.eembc import autobench_suite
 from repro.workloads.synthetic import UniformRandomTraffic
@@ -74,6 +76,17 @@ class TestFaultyTrialPin:
         assert sum(r.forwarded_flits for r in network.routers.values()) == 8909
         assert len(latencies) == 329
         assert digest == "6ab3440bf4683623703ad7c05d746e8f5fd415014d4f3d9ba867296503763803"
+
+    def test_timer_scans_and_link_traversals(self, monkeypatch):
+        """A NIC rescans its ACK timers only once the earliest deadline can
+        have passed (scanning on every step with a pending message makes
+        6318 scans here).  Each link traversal is one ``transmit`` call,
+        which is how the traced benchmark counts fault draws."""
+        scans = _count_calls(monkeypatch, NIC, "_service_timers")
+        transmits = _count_calls(monkeypatch, LinkFaultInjector, "transmit")
+        network = _faulty_trial()
+        assert scans[0] == 141
+        assert transmits[0] == network.fault_counts()["transmitted"] == 6493
 
     def test_finished_network_is_freed_by_reference_counting(self):
         """No reference cycle keeps a drained network alive until a full
