@@ -31,6 +31,7 @@ from repro.core.area import waw_wap_overhead
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.geometry import Coord
 from repro.noc.network import Network
+from repro.service import ResultStore
 from repro.workloads.synthetic import UniformRandomTraffic
 
 
@@ -93,12 +94,13 @@ def sweep_packet_size_and_buffers() -> None:
 def sweep_registered_experiment() -> None:
     """Run the Table II experiment over a grid through the batch engine.
 
-    The engine caches every design point by config hash, so re-running the
-    exploration (or sharing the cache dir between runs) only computes what
-    changed; ``jobs`` fans the misses out over worker processes.
+    The engine caches every design point by config hash in its result
+    store, so re-running the exploration (or sharing the store between runs)
+    only computes what changed; ``jobs`` fans the misses out over worker
+    processes.
     """
     with tempfile.TemporaryDirectory(prefix="repro-cache-") as cache_dir:
-        engine = BatchEngine(jobs=2, cache_dir=cache_dir)
+        engine = BatchEngine(jobs=2, store=ResultStore(cache_dir))
         results = engine.sweep("table2", size=(2, 3, 4, 5, 6))
         print(format_title("Registered-experiment sweep through the batch engine"))
         # Read the flattened rows() rather than the native payload: rows keep

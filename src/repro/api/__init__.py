@@ -10,18 +10,19 @@ programmatically:
 * :func:`experiment` / :func:`get_experiment` / :func:`list_experiments` --
   the decorator-based registry that drives discovery, the CLI and the
   engine;
-* :class:`BatchEngine` -- cache-aware batch execution with multiprocessing
-  fan-out and JSON/CSV export.
+* :class:`BatchEngine` -- batch execution with multiprocessing fan-out,
+  caching in a :class:`~repro.service.ResultStore` and JSON/CSV export.
 
 Quick start::
 
     from repro.api import BatchEngine, BatchJob, Scenario, get_experiment
+    from repro.service import ResultStore
 
     config = Scenario.mesh(8).waw_wap().max_packet_flits(1).build()
     result = get_experiment("table2").run(quick=True)
     print(result.to_json())
 
-    engine = BatchEngine(jobs=4, cache_dir=".repro-cache")
+    engine = BatchEngine(jobs=4, store=ResultStore(".repro-cache"))
     results = engine.sweep("table2", size=(2, 3, 4))
 """
 

@@ -2,20 +2,17 @@
 
 The engine runs registered experiments described by :class:`BatchJob`
 values.  Each job is keyed by a deterministic hash of its canonicalised
-``(experiment, params, quick)`` triple plus the package version; results are
-cached under that hash (in memory and, when ``cache_dir`` is given, as JSON
-files on disk), so re-running a sweep only computes the design points that
-changed.
+``(experiment, params, quick)`` triple plus the package version.  An engine
+given a :class:`~repro.service.store.ResultStore` -- the durable
+content-addressed store shared with the analysis daemon
+(:mod:`repro.service`) -- caches every result there under that hash, so
+re-running a sweep only computes the design points that changed.  Without
+a store, duplicate jobs within one batch are still computed once.
 
-Cache misses fan out over a :mod:`multiprocessing` pool when ``jobs > 1``;
+Store misses fan out over a :mod:`multiprocessing` pool when ``jobs > 1``;
 results travel back as pickled :class:`ExperimentResult` objects, so the
 caller can still render the full textual reports for freshly computed jobs.
-Disk cache hits are rebuilt from their JSON form (rows only).
-
-The persistent layer is the durable content-addressed
-:class:`~repro.service.store.ResultStore` shared with the analysis daemon
-(:mod:`repro.service`): pass ``store=ResultStore(...)`` to share one, or
-keep passing ``cache_dir=...`` to get a store over that directory.
+Store hits are rebuilt from their JSON form (rows only).
 """
 
 from __future__ import annotations
@@ -228,47 +225,32 @@ def _failure_result(job: BatchJob, error: str) -> ExperimentResult:
 
 
 class BatchEngine:
-    """Cache-aware, optionally parallel runner for registered experiments.
+    """Store-aware, optionally parallel runner for registered experiments.
 
-    ``jobs`` is the worker-process count (1 = run in-process); ``cache_dir``
-    enables the persistent cache (a :class:`ResultStore` over that
-    directory) and ``store`` shares an existing store -- e.g. the daemon's
-    ``~/.cache/repro`` -- instead; ``use_cache=False`` disables caching
-    entirely (every job recomputes).
+    ``jobs`` is the worker-process count (1 = run in-process); ``store`` is
+    the :class:`ResultStore` the engine reads and writes results in -- e.g.
+    the daemon's ``~/.cache/repro``.  Without one, every batch computes its
+    design points afresh.
     """
 
-    def __init__(
-        self,
-        *,
-        jobs: int = 1,
-        cache_dir: Optional[str] = None,
-        use_cache: bool = True,
-        store: Optional["ResultStore"] = None,
-    ) -> None:
+    def __init__(self, *, jobs: int = 1, store: Optional[ResultStore] = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if store is not None and cache_dir is not None:
-            raise ValueError("pass either store= or cache_dir=, not both")
         self.jobs = jobs
-        if store is None and cache_dir is not None:
-            store = ResultStore(cache_dir)
         self.store = store
-        self.cache_dir = store.root if store is not None else None
-        self.use_cache = use_cache
-        self._memory_cache: Dict[str, ExperimentResult] = {}
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, job: BatchJob) -> BatchResult:
-        """Run a single job through the cache."""
+        """Run a single job through the store."""
         return self.run_many([job])[0]
 
     def run_many(self, jobs: Sequence[BatchJob]) -> List[BatchResult]:
-        """Run all jobs, fanning cache misses out over the worker pool.
+        """Run all jobs, fanning store misses out over the worker pool.
 
         Results come back in job order.  Duplicate jobs in one batch are
-        looked up in the cache once and computed at most once.
+        looked up in the store once and computed at most once.
         """
         jobs = list(jobs)
         positions: Dict[str, List[int]] = {}
@@ -276,9 +258,10 @@ class BatchEngine:
             positions.setdefault(config_hash(job), []).append(index)
         results: Dict[int, BatchResult] = {}
 
+        store = self.store
         pending: Dict[str, List[int]] = {}
         for digest, indices in positions.items():
-            cached = self._cache_lookup(digest) if self.use_cache else None
+            cached = store.get(digest) if store is not None else None
             if cached is None:
                 pending[digest] = indices
                 continue
@@ -309,8 +292,8 @@ class BatchEngine:
                     )
                 continue
             result = payload
-            if self.use_cache:
-                self._cache_store(digest, result, duration)
+            if store is not None:
+                store.put(digest, result, duration_seconds=duration)
             for position, index in enumerate(pending[digest]):
                 results[index] = BatchResult(
                     job=jobs[index],
@@ -371,7 +354,7 @@ class BatchEngine:
         return buffer.getvalue()
 
     # ------------------------------------------------------------------
-    # Cache plumbing
+    # Store plumbing
     # ------------------------------------------------------------------
     def cached_results(self) -> List[BatchResult]:
         """Everything currently in the persistent store (for ``export``)."""
@@ -392,26 +375,6 @@ class BatchEngine:
                 )
             )
         return results
-
-    def _cache_lookup(self, digest: str) -> Optional[ExperimentResult]:
-        hit = self._memory_cache.get(digest)
-        if hit is not None:
-            return hit
-        if self.store is None:
-            return None
-        hit = self.store.get(digest)
-        if hit is not None:
-            # Promote the disk hit so repeated lookups of the same digest
-            # stop re-reading and re-parsing the JSON file.
-            self._memory_cache[digest] = hit
-        return hit
-
-    def _cache_store(
-        self, digest: str, result: ExperimentResult, duration: float = 0.0
-    ) -> None:
-        self._memory_cache[digest] = result
-        if self.store is not None:
-            self.store.put(digest, result, duration_seconds=duration)
 
     def _compute(self, jobs: List[BatchJob]) -> List[Tuple[str, Any, float]]:
         return map_jobs(safe_execute_job, jobs, jobs=self.jobs)

@@ -3,8 +3,8 @@
 A :class:`Campaign` turns a job grid (an explicit
 :class:`~repro.api.BatchJob` list, or :func:`repro.api.sweep` axes via
 :meth:`Campaign.from_grid`) into deterministic shards
-(:mod:`repro.campaign.sharding`) and drives them through the batch engine or
-a running analysis daemon with three guarantees:
+(:mod:`repro.campaign.sharding`) and drives them through the batch engine
+with three guarantees:
 
 * **No lost batches.**  Every design point runs through the engine's
   error-capturing worker path, so a raising point becomes a recorded
@@ -36,7 +36,7 @@ import os
 import time
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from ..api.engine import BatchEngine, BatchJob, BatchResult
+from ..api.engine import BatchEngine, BatchJob
 from ..api.results import ExperimentResult, ResultEncoder
 from ..api.scenario import Scenario, sweep_jobs
 from ..service.protocol import job_to_wire, jobs_from_wire
@@ -106,12 +106,10 @@ class Campaign:
     ``shard_size``/``holdout`` control sharding (see
     :func:`~repro.campaign.sharding.make_shards`); ``acceptance`` is the
     held-out predicate (default: no failed design point in a held-out
-    shard).  Execution goes through ``engine`` (default: a fresh
-    :class:`~repro.api.BatchEngine` with ``engine_jobs`` workers over the
-    campaign's store) or, when ``client`` is given, a running analysis
-    daemon via :class:`~repro.service.ServiceClient`.  ``store`` is the
-    durable checkpoint/result store (default: the engine's store, else
-    :func:`~repro.service.store.default_store_dir`).
+    shard).  ``store`` is the durable checkpoint/result store (default: one
+    over :func:`~repro.service.store.default_store_dir`); design points run
+    through a :class:`~repro.api.BatchEngine` with ``engine_jobs`` workers
+    over that store.
     """
 
     def __init__(
@@ -123,9 +121,7 @@ class Campaign:
         holdout: int = 1,
         acceptance: Optional[AcceptancePredicate] = None,
         store: Optional[ResultStore] = None,
-        engine: Optional[BatchEngine] = None,
         engine_jobs: int = 1,
-        client: Optional[Any] = None,
     ) -> None:
         if not name:
             raise CampaignError("a campaign needs a non-empty name")
@@ -138,13 +134,8 @@ class Campaign:
         self.acceptance: AcceptancePredicate = (
             acceptance if acceptance is not None else _default_acceptance
         )
-        if store is None:
-            store = engine.store if engine is not None and engine.store is not None else ResultStore()
-        self.store = store
-        if engine is None:
-            engine = BatchEngine(jobs=engine_jobs, store=store)
-        self.engine = engine
-        self.client = client
+        self.store = store if store is not None else ResultStore()
+        self.engine = BatchEngine(jobs=engine_jobs, store=self.store)
         self.shard_size = shard_size
         self.holdout = holdout
         try:
@@ -170,13 +161,12 @@ class Campaign:
         """Build a campaign straight from :func:`repro.api.sweep` axes.
 
         Keyword arguments that name campaign knobs (``name``,
-        ``shard_size``, ``holdout``, ``acceptance``, ``store``, ``engine``,
-        ``engine_jobs``, ``client``) configure the campaign; everything else
-        is a sweep axis.
+        ``shard_size``, ``holdout``, ``acceptance``, ``store``,
+        ``engine_jobs``) configure the campaign; everything else is a sweep
+        axis.
         """
         campaign_keys = (
-            "name", "shard_size", "holdout", "acceptance",
-            "store", "engine", "engine_jobs", "client",
+            "name", "shard_size", "holdout", "acceptance", "store", "engine_jobs",
         )
         campaign_kwargs = {k: options.pop(k) for k in campaign_keys if k in options}
         jobs = sweep_jobs(base, experiment=experiment, quick=quick, **options)
@@ -383,27 +373,6 @@ class Campaign:
             if record is not None:
                 return record
         start = time.perf_counter()
-        if self.client is not None:
-            job_records, executor, worker_jobs = self._execute_service(shard)
-        else:
-            job_records, executor, worker_jobs = self._execute_engine(shard)
-        duration = time.perf_counter() - start
-        record = {
-            "index": shard.index,
-            "shard_id": shard.shard_id,
-            "role": shard.role,
-            "status": "done",
-            "resumed": False,
-            "executor": executor,
-            "worker_jobs": worker_jobs,
-            "duration_seconds": round(duration, 6),
-            "jobs": job_records,
-        }
-        self._write_checkpoint(shard, record)
-        return record
-
-    def _execute_engine(self, shard: Shard):
-        results: List[BatchResult] = self.engine.run_many(list(shard.jobs))
         job_records = [
             {
                 "config_hash": result.config_hash,
@@ -414,38 +383,22 @@ class Campaign:
                 "cached": result.cached,
                 "duration_seconds": round(result.duration_seconds, 6),
             }
-            for result in results
+            for result in self.engine.run_many(list(shard.jobs))
         ]
-        return job_records, "engine", self.engine.jobs
-
-    def _execute_service(self, shard: Shard):
-        response = self.client.submit(list(shard.jobs), wait=True)
-        job_records = []
-        for job, digest, ticket, data in zip(
-            shard.jobs,
-            shard.job_hashes,
-            response.get("tickets", []),
-            response.get("results", []),
-        ):
-            error = ticket.get("error")
-            job_records.append(
-                {
-                    "config_hash": ticket.get("hash", digest),
-                    "experiment": job.experiment,
-                    "quick": job.quick,
-                    "status": "failed" if error else "ok",
-                    "error": error,
-                    # The daemon marks a result cached in its wire dict.
-                    "cached": bool(data and data.get("cached")),
-                    "duration_seconds": 0.0,
-                }
-            )
-        if len(job_records) != len(shard.jobs):
-            raise CampaignError(
-                f"daemon returned {len(job_records)} ticket(s) for "
-                f"{len(shard.jobs)} submitted job(s)"
-            )
-        return job_records, "service", 0
+        duration = time.perf_counter() - start
+        record = {
+            "index": shard.index,
+            "shard_id": shard.shard_id,
+            "role": shard.role,
+            "status": "done",
+            "resumed": False,
+            "executor": "engine",
+            "worker_jobs": self.engine.jobs,
+            "duration_seconds": round(duration, 6),
+            "jobs": job_records,
+        }
+        self._write_checkpoint(shard, record)
+        return record
 
     def _checkpointed_record(self, shard: Shard) -> Optional[Dict[str, Any]]:
         """The shard's durable checkpoint as a report record, or None.

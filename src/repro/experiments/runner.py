@@ -5,14 +5,15 @@ through the decorator registry and executed through the cache-aware batch
 engine.  Subcommands::
 
     repro-experiments run [NAMES...] [--quick] [--backend event] [--jobs N]
-                          [--json -] [--csv F]
+                          [--cache-dir DIR] [--json -] [--csv F]
     repro-experiments list [--json]
     repro-experiments sweep --sizes 2,3,4 [--experiment table2] [--jobs N]
+                            [--cache-dir DIR]
     repro-experiments export --cache-dir DIR [--json F] [--csv F] [NAMES...]
 
 plus the analysis-service surface (:mod:`repro.service`)::
 
-    repro-experiments serve [--port P] [--jobs N] [--store-dir DIR]
+    repro-experiments serve [--port P] [--jobs N] [--store-dir DIR | --no-store]
     repro-experiments submit [NAMES... | --experiment NAME --sizes 2,3]
                              [--quick] [--no-wait] [--json F] [--csv F]
     repro-experiments status HASH [HASH...]
@@ -32,6 +33,13 @@ blind-validated sweeps)::
 (``--experiment``, ``--sizes``, ``--packet-flits``, ``--fault-rates``,
 ``--trials``, ``--quick``), expand them into the same jobs and report the
 outcome the same way: failed design points on stderr and exit status 1.
+
+Every command opens its :class:`~repro.service.store.ResultStore` the same
+way: ``run``/``sweep``/``export`` cache in ``--cache-dir`` (``run`` and
+``sweep`` cache nothing without it), ``serve``/``cache``/``campaign`` use
+``--store-dir`` (default: ``~/.cache/repro``; ``serve --no-store`` keeps
+results in memory).  A store that cannot be opened is a usage error: its
+message on stderr and exit status 2.
 
 ``--backend`` selects the simulation backend (``cycle`` or ``event``) for
 the experiments that drive the cycle-accurate simulator; both backends
@@ -63,6 +71,7 @@ from ..api import (
     list_experiments,
 )
 from ..api.engine import axis_jobs
+from ..service.store import ResultStore, StoreError
 from ..sim import available_backends, normalize_backend_name
 
 __all__ = ["main"]
@@ -183,10 +192,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist results as JSON keyed by config hash in DIR",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every design point even if cached",
     )
 
 
@@ -587,15 +592,23 @@ def _grid_jobs(args: argparse.Namespace) -> Optional[List[BatchJob]]:
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
-def _make_engine(args: argparse.Namespace) -> BatchEngine:
-    return BatchEngine(jobs=args.jobs, cache_dir=args.cache_dir, use_cache=not args.no_cache)
+def _open_store(args: argparse.Namespace) -> Optional[ResultStore]:
+    """The command's result store (see the module docstring), or None.
+
+    Raises :class:`StoreError` when the directory cannot be created.
+    """
+    if "cache_dir" in args:
+        return None if args.cache_dir is None else ResultStore(args.cache_dir)
+    if "store_dir" in args and not getattr(args, "no_store", False):
+        return ResultStore(args.store_dir)
+    return None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     jobs = _named_jobs(args.experiments, args)
     if jobs is None:
         return 2
-    results = _make_engine(args).run_many(jobs)
+    results = BatchEngine(jobs=args.jobs, store=args.store).run_many(jobs)
     if not _exports_use_stdout(args):
         for result in results:
             _print_report(result)
@@ -630,12 +643,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     jobs = _grid_jobs(args)
     if jobs is None:
         return 2
-    return _report_grid(_make_engine(args).run_many(jobs), args)
+    return _report_grid(BatchEngine(jobs=args.jobs, store=args.store).run_many(jobs), args)
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    engine = BatchEngine(cache_dir=args.cache_dir)
-    results = engine.cached_results()
+    results = BatchEngine(store=args.store).cached_results()
     if args.experiments:
         wanted = set(args.experiments)
         results = [r for r in results if r.job.experiment in wanted]
@@ -670,8 +682,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=DEFAULT_PORT if args.port is None else args.port,
             jobs=args.jobs,
             batch_size=args.batch_size,
-            store_dir=args.store_dir,
-            use_store=not args.no_store,
+            store=args.store,
         )
     except ValueError as error:
         print(str(error), file=sys.stderr)
@@ -795,13 +806,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from ..service import ResultStore, StoreError
-
-    try:
-        store = ResultStore(args.store_dir)
-    except StoreError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    store = args.store
     if args.action == "clear":
         removed = store.clear(experiment=args.experiment)
         scope = f" for {args.experiment}" if args.experiment else ""
@@ -871,14 +876,8 @@ def _execute_campaign(campaign, args: argparse.Namespace, *, resume: bool) -> in
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from ..campaign import Campaign, CampaignError
-    from ..service import ResultStore, StoreError
 
-    try:
-        store = ResultStore(args.store_dir)
-    except StoreError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-
+    store = args.store
     if args.action == "run":
         jobs = _grid_jobs(args)
         if jobs is None:
@@ -918,6 +917,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         print("jobs must be >= 1", file=sys.stderr)
+        return 2
+    try:
+        args.store = _open_store(args)
+    except StoreError as error:
+        print(str(error), file=sys.stderr)
         return 2
     handlers: Dict[str, Callable[[argparse.Namespace], int]] = {
         "run": _cmd_run,

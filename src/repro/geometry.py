@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, List, Optional, Tuple
 
-__all__ = ["Coord", "Port", "Mesh", "OPPOSITE_PORT", "DIRECTION_PORTS"]
+__all__ = ["Coord", "Port", "Mesh", "DIRECTION_PORTS"]
 
 
 @dataclass(frozen=True, order=True)
@@ -100,20 +100,6 @@ DIRECTION_PORTS: Tuple[Port, ...] = (
     Port.YPLUS,
     Port.YMINUS,
 )
-
-#: The port on the neighbouring router that an output port connects to.
-#: Traffic leaving router ``r`` through its ``XPLUS`` output keeps moving in
-#: the ``+x`` direction, so it enters the next router through that router's
-#: ``XPLUS`` *input* port.  With travel-direction naming the "opposite" port
-#: is therefore the port itself; this table exists to make that explicit at
-#: call sites and to keep the door open for other naming conventions.
-OPPOSITE_PORT = {
-    Port.XPLUS: Port.XPLUS,
-    Port.XMINUS: Port.XMINUS,
-    Port.YPLUS: Port.YPLUS,
-    Port.YMINUS: Port.YMINUS,
-    Port.LOCAL: Port.LOCAL,
-}
 
 #: Displacement of the downstream router reached through each output port.
 _OUTPUT_DISPLACEMENT = {

@@ -12,7 +12,6 @@ simulation infrastructure used in the paper's evaluation.  It models:
 * per-run traffic statistics (:mod:`repro.noc.stats`).
 """
 
-from .buffer import FlitBuffer
 from .flit import Flit, FlitType, Message, Packet
 from .network import Network
 from .nic import NIC
@@ -20,7 +19,6 @@ from .router import Router
 from .stats import LatencySummary, NetworkStats
 
 __all__ = [
-    "FlitBuffer",
     "Flit",
     "FlitType",
     "Message",

@@ -52,7 +52,6 @@ from ..core.config import NoCConfig
 from ..core.weights import WeightTable
 from ..geometry import Coord, Mesh, Port
 from ..topology import Topology
-from .buffer import FlitBuffer
 from .flit import Flit, FlitType
 
 __all__ = ["PORTS", "PORT_INDEX", "Router", "RouterEvent"]
@@ -152,16 +151,15 @@ class Router:
         self.weight_table = weight_table
         layout = _layouts(self.topology)[coord]
         self._routes = layout.routes
+        self._inputs = layout.inputs
         self._depth = config.buffer_depth
 
-        #: Input buffers by port number (``None`` where the input does not
-        #: exist), and their flit lists, which the allocation loop reads.
-        self._buffers: List[Optional[FlitBuffer]] = [None] * len(PORTS)
+        #: The input buffers by port number (``None`` where the input does not
+        #: exist): each a list of flits, head of line first, at most
+        #: ``buffer_depth`` long.
         self._fifos: List[Optional[List[Flit]]] = [None] * len(PORTS)
-        for port, name in layout.inputs:
-            buffer = FlitBuffer(config.buffer_depth, name=name)
-            self._buffers[port] = buffer
-            self._fifos[port] = buffer.flits
+        for port, _ in layout.inputs:
+            self._fifos[port] = []
         #: Flits buffered over all inputs.
         self._flits = 0
         #: Which input port number owns each output port (wormhole lock).
@@ -196,9 +194,9 @@ class Router:
     # Port-level views (tests and diagnostics)
     # ------------------------------------------------------------------
     @property
-    def buffers(self) -> Dict[Port, FlitBuffer]:
-        """The buffer of each existing input port."""
-        return {PORTS[i]: buf for i, buf in enumerate(self._buffers) if buf is not None}
+    def buffers(self) -> Dict[Port, List[Flit]]:
+        """The buffered flits of each existing input port, head of line first."""
+        return {PORTS[port]: self._fifos[port] for port, _ in self._inputs}
 
     @property
     def arbiters(self) -> Dict[Port, Arbiter]:
@@ -224,7 +222,7 @@ class Router:
         """Enqueue ``flit`` on input port number ``port``; route it if it is a head."""
         fifo = self._fifos[port]
         if len(fifo) >= self._depth:
-            raise OverflowError(f"{self._buffers[port].name}: push into a full buffer")
+            raise OverflowError(f"{dict(self._inputs)[port]}: push into a full buffer")
         flit.ready_cycle = ready_cycle
         if flit.flit_type in _HEADS:
             destination = flit.packet.message.destination

@@ -9,10 +9,11 @@ machinery behind the newline-delimited-JSON protocol of
   ``batch_size`` jobs at a time and fans them onto the existing
   :func:`repro.api.engine.map_jobs` worker pool (``jobs`` processes), so
   the event loop stays responsive while compute saturates the cores;
-* **durable content-addressed results** -- every computed result is written
-  through to a shared :class:`~repro.service.store.ResultStore`, so answers
-  survive daemon restarts and are shared with every other daemon, batch run
-  or CI job pointing at the same directory;
+* **durable content-addressed results** -- a daemon given a
+  :class:`~repro.service.store.ResultStore` writes every computed result
+  through to it, so answers survive daemon restarts and are shared with
+  every other daemon, batch run or CI job pointing at the same directory;
+  without one it serves from memory only;
 * **request coalescing/dedup** -- identical design points (same config
   hash) submitted concurrently attach to one in-flight computation and are
   computed exactly once;
@@ -89,8 +90,8 @@ class ReproService:
 
     ``jobs`` bounds the compute concurrency (worker processes of the
     :func:`map_jobs` pool); ``batch_size`` is how many queued jobs one pool
-    fan-out may take; ``store`` / ``store_dir`` select the durable result
-    store (``use_store=False`` runs fully in-memory); ``port=0`` binds an
+    fan-out may take; ``store`` is the durable result store (``None`` runs
+    fully in-memory: results die with the daemon); ``port=0`` binds an
     ephemeral port, reported by :attr:`address` after :meth:`start`.
     """
 
@@ -102,8 +103,6 @@ class ReproService:
         jobs: int = 1,
         batch_size: int = 8,
         store: Optional[ResultStore] = None,
-        store_dir: Optional[str] = None,
-        use_store: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -113,12 +112,7 @@ class ReproService:
         self.port = port
         self.jobs = jobs
         self.batch_size = batch_size
-        if not use_store:
-            self.store: Optional[ResultStore] = None
-        elif store is not None:
-            self.store = store
-        else:
-            self.store = ResultStore(store_dir)
+        self.store = store
         self.address: Optional[Tuple[str, int]] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._queue: "asyncio.Queue[str]" = None  # type: ignore[assignment]

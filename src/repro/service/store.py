@@ -23,7 +23,8 @@ indented entries of older releases still read (readers ignore whitespace).
 
 The default location is ``~/.cache/repro`` (see :func:`default_store_dir`),
 overridable with the ``REPRO_STORE_DIR`` environment variable; the CLI's
-``--store-dir`` flag and the service daemon both default to it.
+``--store-dir`` option (``serve``, ``cache``, ``campaign``) and
+:class:`~repro.campaign.Campaign` default to it.
 """
 
 from __future__ import annotations

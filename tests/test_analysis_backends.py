@@ -183,7 +183,7 @@ class TestWaWOnlyRefused:
 
     def test_batch_engine_fails_only_the_waw_only_point(self):
         jobs = [WAW_ONLY.as_job("scenario_wctt"), WAW_ONLY.waw_wap().as_job("scenario_wctt")]
-        refused, served = BatchEngine(use_cache=False).run_many(jobs)
+        refused, served = BatchEngine().run_many(jobs)
         assert not refused.ok and "assumes round-robin arbitration" in refused.error
         assert served.ok and served.result.rows()[0]["design"] == "WaW+WaP"
 

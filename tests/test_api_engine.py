@@ -17,6 +17,7 @@ from repro.api.engine import _canonical
 from repro.api.results import _plain
 from repro.experiments.runner import main
 from repro.geometry import Coord, Port
+from repro.service import ResultStore
 
 
 class TestConfigHash:
@@ -80,54 +81,47 @@ class TestConfigHash:
 
 
 class TestEngineCaching:
-    def test_memory_cache_hit(self):
-        engine = BatchEngine()
-        first = engine.run(BatchJob("table1"))
-        second = engine.run(BatchJob("table1"))
-        assert not first.cached
-        assert second.cached
-        assert second.result is first.result
-
     def test_disk_cache_survives_engine_restart(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        first = BatchEngine(cache_dir=cache_dir).run(BatchJob("table2", {"sizes": (2,)}))
+        first = BatchEngine(store=ResultStore(cache_dir)).run(BatchJob("table2", {"sizes": (2,)}))
         assert not first.cached
         assert os.path.exists(os.path.join(cache_dir, f"{first.config_hash}.json"))
 
-        second = BatchEngine(cache_dir=cache_dir).run(BatchJob("table2", {"sizes": (2,)}))
+        second = BatchEngine(store=ResultStore(cache_dir)).run(BatchJob("table2", {"sizes": (2,)}))
         assert second.cached
         assert second.result.from_cache
         assert second.result.rows() == first.result.to_dict()["rows"]
 
     def test_no_cache_recomputes(self):
-        engine = BatchEngine(use_cache=False)
+        # Without a store the engine caches nothing across batches.
+        engine = BatchEngine()
         engine.run(BatchJob("table1"))
         assert not engine.run(BatchJob("table1")).cached
 
     def test_duplicate_jobs_in_one_batch_computed_once(self):
-        engine = BatchEngine(use_cache=False)
+        engine = BatchEngine()
         results = engine.run_many([BatchJob("table1"), BatchJob("table1")])
         assert [r.cached for r in results] == [False, True]
 
     def test_cached_results_enumerates_disk_cache(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        engine = BatchEngine(cache_dir=cache_dir)
+        engine = BatchEngine(store=ResultStore(cache_dir))
         engine.run_many([BatchJob("table1"), BatchJob("table2", {"sizes": (2,)})])
-        listed = BatchEngine(cache_dir=cache_dir).cached_results()
+        listed = BatchEngine(store=ResultStore(cache_dir)).cached_results()
         assert {r.job.experiment for r in listed} == {"table1", "table2"}
 
 
 class TestEngineParallel:
     def test_parallel_jobs_match_serial(self):
         jobs = [BatchJob("table2", {"sizes": (size,)}) for size in (2, 3, 4)]
-        serial = BatchEngine(jobs=1, use_cache=False).run_many(jobs)
-        parallel = BatchEngine(jobs=3, use_cache=False).run_many(jobs)
+        serial = BatchEngine(jobs=1).run_many(jobs)
+        parallel = BatchEngine(jobs=3).run_many(jobs)
         assert [r.result.to_dict()["rows"] for r in serial] == [
             r.result.to_dict()["rows"] for r in parallel
         ]
 
     def test_sweep_expands_axes_through_registry(self):
-        engine = BatchEngine(use_cache=False)
+        engine = BatchEngine()
         results = engine.sweep("table2", size=(2, 3))
         assert [r.job.params for r in results] == [{"sizes": (2,)}, {"sizes": (3,)}]
         assert all(len(r.result.rows()) == 1 for r in results)
@@ -183,6 +177,16 @@ class TestCLI:
         assert main(["run", "table1"]) == 0
         out = capsys.readouterr().out
         assert "Table I" in out and "completed in" in out
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "table1"], ["sweep", "--sizes", "2"]], ids=["run", "sweep"]
+    )
+    def test_no_cache_dir_caches_nothing(self, argv, tmp_path, monkeypatch, capsys):
+        # Only --cache-dir gives run/sweep a store; they never fall back to
+        # the default store directory.
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "default"))
+        assert main(argv) == 0
+        assert not (tmp_path / "default").exists()
 
     def test_run_rejects_unknown_name_with_suggestion(self, capsys):
         assert main(["run", "tabel2"]) == 2
@@ -245,8 +249,8 @@ class TestCLI:
         # Disk-cache hits rebuild payloads as row dicts; rows() is the
         # shape-stable accessor either way.
         cache_dir = str(tmp_path / "cache")
-        fresh = BatchEngine(cache_dir=cache_dir).run(BatchJob("table2", {"sizes": (2,)}))
-        hit = BatchEngine(cache_dir=cache_dir).run(BatchJob("table2", {"sizes": (2,)}))
+        fresh = BatchEngine(store=ResultStore(cache_dir)).run(BatchJob("table2", {"sizes": (2,)}))
+        hit = BatchEngine(store=ResultStore(cache_dir)).run(BatchJob("table2", {"sizes": (2,)}))
         assert fresh.result.rows() == hit.result.rows()
         assert hit.result.rows()[0]["regular max"] == fresh.result[0].regular.maximum
 
@@ -255,7 +259,7 @@ class TestCLI:
         # so and exit 1, as run and submit do, not print a zero-row table.
         argv = [
             "sweep", "--experiment", "reliability_sweep", "--fault-rates", "1.5",
-            "--trials", "1", "--quick", "--no-cache",
+            "--trials", "1", "--quick",
         ]
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -263,30 +267,11 @@ class TestCLI:
         assert captured.out.strip() == "(no rows)"
 
 
-class TestDiskHitPromotion:
-    def test_disk_hit_promoted_to_memory_cache(self, tmp_path):
-        # Regression: a disk-store hit must populate the memory cache, so
-        # repeated lookups of the same digest stop re-reading the file --
-        # observable as the store's hit counter staying flat.
-        root = str(tmp_path / "cache")
-        BatchEngine(cache_dir=root).run(BatchJob("table1"))
-
-        engine = BatchEngine(cache_dir=root)
-        first = engine.run(BatchJob("table1"))
-        assert first.cached
-        assert engine.store.hits == 1
-
-        second = engine.run(BatchJob("table1"))
-        assert second.cached
-        assert engine.store.hits == 1  # served from memory, not the disk
-        assert second.result is first.result
-
-
 class TestFailureCapture:
     BAD = BatchJob("scenario_wctt", {"scenario": {"mesh_width": 2, "design": "nope"}})
 
     def test_failed_job_becomes_recorded_outcome(self):
-        result = BatchEngine(use_cache=False).run(self.BAD)
+        result = BatchEngine().run(self.BAD)
         assert not result.ok
         assert "ScenarioError" in result.error
         assert result.result.rows() == []
@@ -294,7 +279,7 @@ class TestFailureCapture:
 
     def test_failed_job_does_not_poison_its_siblings(self):
         jobs = [BatchJob("table1"), self.BAD, BatchJob("table2", {"sizes": (2,)})]
-        results = BatchEngine(use_cache=False).run_many(jobs)
+        results = BatchEngine().run_many(jobs)
         assert [r.ok for r in results] == [True, False, True]
         assert results[0].result.rows() and results[2].result.rows()
 
@@ -302,12 +287,12 @@ class TestFailureCapture:
         # Same invariant through the multiprocessing fan-out: the captured
         # failure travels back as data, not as a pool-wide exception.
         jobs = [BatchJob("table1"), self.BAD, BatchJob("table2", {"sizes": (2,)})]
-        results = BatchEngine(jobs=3, use_cache=False).run_many(jobs)
+        results = BatchEngine(jobs=3).run_many(jobs)
         assert [r.ok for r in results] == [True, False, True]
         assert "ScenarioError" in results[1].error
 
     def test_failures_are_never_cached(self, tmp_path):
-        engine = BatchEngine(cache_dir=str(tmp_path / "cache"))
+        engine = BatchEngine(store=ResultStore(str(tmp_path / "cache")))
         first = engine.run(self.BAD)
         second = engine.run(self.BAD)
         assert not first.ok and not second.ok
@@ -315,8 +300,8 @@ class TestFailureCapture:
         assert engine.store.writes == 0
 
     def test_error_round_trips_through_to_dict(self):
-        result = BatchEngine(use_cache=False).run(self.BAD)
+        result = BatchEngine().run(self.BAD)
         data = result.to_dict()
         assert "ScenarioError" in data["error"]
-        ok = BatchEngine(use_cache=False).run(BatchJob("table1"))
+        ok = BatchEngine().run(BatchJob("table1"))
         assert "error" not in ok.to_dict()

@@ -301,6 +301,42 @@ def test_faulty_8x8_hotspot_backends_bit_identical():
     assert snapshots["cycle"]["retransmissions"] > 0
 
 
+def test_lone_faulty_message_jumps_to_its_retransmit_timers(monkeypatch):
+    """A lone 4-flit message (2,2)->(0,0) on a 3x3 WaW+WaP mesh loses two
+    flits.  While it waits for its ACK timeouts nothing is buffered, so the
+    event backend jumps straight to each timer: 167 of 245 cycles skipped
+    (17 if the NIC timers are ignored) with every bit unchanged (a timer
+    served one cycle late makes the latency 227)."""
+    skipped = [0]
+    skip_idle_cycles = Network.skip_idle_cycles
+
+    def counted(network, cycles):
+        skipped[0] += cycles
+        skip_idle_cycles(network, cycles)
+
+    monkeypatch.setattr(Network, "skip_idle_cycles", counted)
+    snapshots, skips = {}, {}
+    for backend in BACKENDS:
+        config = (
+            Scenario.mesh(3)
+            .waw_wap()
+            .fault_model("independent", loss_rate=0.05, seed=1, ack_timeout=64)
+            .backend(backend)
+            .build()
+        )
+        network = Network(config)
+        message = network.send(Coord(2, 2), Coord(0, 0), 4)
+        skipped[0] = 0
+        network.run_until_idle()
+        skips[backend] = skipped[0]
+        snapshots[backend] = _faulty_network_snapshot(network)
+        snapshots[backend]["latency"] = message.network_latency
+    assert snapshots["event"] == snapshots["cycle"]
+    assert skips == {"cycle": 0, "event": 167}
+    cycle = snapshots["cycle"]
+    assert (cycle["final_cycle"], cycle["latency"], cycle["retransmissions"]) == (245, 225, 2)
+
+
 def test_faulty_system_backends_bit_identical():
     """Manycore run under faults: cores + MC + HARQ agree across backends."""
     snapshots = {}

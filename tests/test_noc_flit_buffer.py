@@ -1,4 +1,4 @@
-"""Tests for flits, packets, messages and buffers (:mod:`repro.noc.flit`/``buffer``)."""
+"""Tests for flits, packets and messages (:mod:`repro.noc.flit`)."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Coord
-from repro.noc.buffer import FlitBuffer
-from repro.noc.flit import Flit, FlitType, Message, Packet
+from repro.noc.flit import FlitType, Message, Packet
 
 
 def make_message(payload: int = 4) -> Message:
@@ -74,49 +73,3 @@ class TestPacketAndFlit:
         assert sum(f.is_head for f in flits) == 1
         assert sum(f.is_tail for f in flits) == 1
         assert len(flits) == size
-
-
-class TestFlitBuffer:
-    def _flit(self) -> Flit:
-        packet = Packet(message=make_message(1), size_flits=1, index=0, total=1)
-        return packet.make_flits()[0]
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            FlitBuffer(0)
-
-    def test_fifo_ordering(self):
-        buffer = FlitBuffer(4)
-        flits = [self._flit() for _ in range(3)]
-        for flit in flits:
-            buffer.push(flit)
-        assert buffer.peek() is flits[0]
-        assert [buffer.pop() for _ in range(3)] == flits
-        assert buffer.is_empty
-
-    def test_overflow_raises(self):
-        buffer = FlitBuffer(2)
-        buffer.push(self._flit())
-        buffer.push(self._flit())
-        assert buffer.is_full and buffer.free_slots == 0
-        with pytest.raises(OverflowError):
-            buffer.push(self._flit())
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            FlitBuffer(1).pop()
-
-    def test_peek_empty_returns_none(self):
-        assert FlitBuffer(1).peek() is None
-
-    @given(ops=st.lists(st.booleans(), min_size=1, max_size=60))
-    @settings(max_examples=40)
-    def test_occupancy_invariant(self, ops):
-        buffer = FlitBuffer(4)
-        for is_push in ops:
-            if is_push and not buffer.is_full:
-                buffer.push(self._flit())
-            elif not is_push and not buffer.is_empty:
-                buffer.pop()
-            assert 0 <= len(buffer) <= buffer.capacity
-            assert buffer.free_slots == buffer.capacity - len(buffer)

@@ -42,8 +42,9 @@ class TestRouter:
         flits = make_flits(Coord(1, 1), Coord(0, 0), 3)
         router.accept_flit(Port.LOCAL, flits[0], 0)
         router.accept_flit(Port.LOCAL, flits[1], 0)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=r"^\(1,1\):PME: push into a full buffer$"):
             router.accept_flit(Port.LOCAL, flits[2], 0)
+        assert router.buffers[Port.LOCAL] == flits[:2]
 
     def test_head_flit_waits_for_pipeline_latency(self):
         config = regular_mesh_config(4)

@@ -79,7 +79,7 @@ class TestProtocol:
 @pytest.fixture
 def service(tmp_path):
     """A live daemon on an ephemeral port backed by a temporary store."""
-    handle = start_service_thread(port=0, store_dir=str(tmp_path / "store"), jobs=1)
+    handle = start_service_thread(port=0, store=ResultStore(str(tmp_path / "store")), jobs=1)
     try:
         yield handle
     finally:
@@ -247,9 +247,9 @@ class TestSweepAcceptance:
     def test_results_survive_daemon_restart(self, tmp_path):
         store_dir = str(tmp_path / "store")
         job = {"experiment": "table1", "quick": True}
-        with start_service_thread(port=0, store_dir=store_dir) as handle:
+        with start_service_thread(port=0, store=ResultStore(store_dir)) as handle:
             ServiceClient(port=handle.port).submit([job])
-        with start_service_thread(port=0, store_dir=store_dir) as handle:
+        with start_service_thread(port=0, store=ResultStore(store_dir)) as handle:
             reborn = ServiceClient(port=handle.port)
             response = reborn.submit([job])
             assert response["tickets"][0]["source"] == "store"
@@ -300,7 +300,7 @@ class TestServerRobustness:
         envelope["result"]["rows"] = [1]
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(envelope, handle)
-        with start_service_thread(port=0, store_dir=store.root) as handle:
+        with start_service_thread(port=0, store=store) as handle:
             response = ServiceClient(port=handle.port).submit([job])
         assert response["tickets"][0]["source"] == "queued"
         assert response["results"][0]["rows"]
@@ -326,13 +326,17 @@ class TestServerRobustness:
         with pytest.raises(ValueError, match="batch_size"):
             ReproService(batch_size=0)
 
-    def test_in_memory_service_has_no_store(self, tmp_path):
-        with start_service_thread(port=0, use_store=False) as handle:
+    def test_in_memory_service_has_no_store(self, tmp_path, monkeypatch):
+        # Without a store the daemon writes nothing, not even to the default
+        # store directory.
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "default"))
+        with start_service_thread(port=0) as handle:
             client = ServiceClient(port=handle.port)
             client.submit([{"experiment": "table1", "quick": True}])
             stats = client.stats()
             assert stats["store"] is None
             assert stats["jobs"]["computed"] == 1
+        assert not (tmp_path / "default").exists()
 
     def test_as_results_helper(self, client):
         response = client.submit([{"experiment": "table1", "quick": True}])

@@ -17,14 +17,14 @@ import pytest
 
 from repro.api import BatchEngine
 from repro.experiments.runner import main
-from repro.service import ServiceClient, start_service_thread
+from repro.service import ResultStore, ServiceClient, start_service_thread
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
 def daemon(tmp_path):
-    handle = start_service_thread(port=0, store_dir=str(tmp_path / "store"))
+    handle = start_service_thread(port=0, store=ResultStore(str(tmp_path / "store")))
     try:
         yield handle
     finally:
@@ -125,10 +125,10 @@ class TestGridExpansion:
         grid = ["--experiment", "table2", "--sizes", "2,3", "--quick"]
         expected = [
             result.config_hash
-            for result in BatchEngine(use_cache=False).sweep("table2", quick=True, size=(2, 3))
+            for result in BatchEngine().sweep("table2", quick=True, size=(2, 3))
         ]
 
-        assert main(["sweep", *grid, "--no-cache", "--json", "-"]) == 0
+        assert main(["sweep", *grid, "--json", "-"]) == 0
         swept = [entry["config_hash"] for entry in json.loads(capsys.readouterr().out)]
 
         assert main(["submit", *grid, "--no-wait", *_port_args(daemon)]) == 0
@@ -188,7 +188,7 @@ class TestCacheCommand:
         from repro.api import BatchEngine, BatchJob
 
         store_dir = str(tmp_path / "store")
-        BatchEngine(cache_dir=store_dir).run_many(
+        BatchEngine(store=ResultStore(store_dir)).run_many(
             [BatchJob("table1"), BatchJob("table2", {"sizes": (2,)})]
         )
         assert main(["cache", "clear", "--store-dir", store_dir, "--experiment", "table2"]) == 0
@@ -200,3 +200,26 @@ class TestCacheCommand:
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "via-env"))
         assert main(["cache", "stats", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["root"] == str(tmp_path / "via-env")
+
+
+class TestUnopenableStore:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "table1", "--cache-dir"],
+            ["sweep", "--sizes", "2", "--cache-dir"],
+            ["export", "--cache-dir"],
+            ["serve", "--port", "0", "--store-dir"],
+            ["cache", "stats", "--store-dir"],
+            ["campaign", "run", "table1", "--store-dir"],
+        ],
+        ids=["run", "sweep", "export", "serve", "cache", "campaign"],
+    )
+    def test_store_below_a_file_is_a_usage_error(self, argv, tmp_path, capsys):
+        """Every command opens its store the same way: a directory that
+        cannot be created prints the store's message and exits 2."""
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        root = str(afile / "sub")
+        assert main(argv + [root]) == 2
+        assert f"cannot create result store at {root}" in capsys.readouterr().err

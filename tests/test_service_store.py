@@ -8,6 +8,7 @@ engine.
 
 from __future__ import annotations
 
+import inspect
 import json
 import multiprocessing
 import os
@@ -295,9 +296,8 @@ class TestDefaultLocation:
 
 
 class TestEngineIntegration:
-    def test_engine_cache_dir_builds_a_store(self, tmp_path):
-        engine = BatchEngine(cache_dir=str(tmp_path))
-        assert isinstance(engine.store, ResultStore)
+    def test_engine_writes_store_envelopes(self, tmp_path):
+        engine = BatchEngine(store=ResultStore(str(tmp_path)))
         result = engine.run(BatchJob("table1"))
         # The engine writes store envelopes under the familiar layout.
         envelope = json.loads((tmp_path / f"{result.config_hash}.json").read_text())
@@ -311,18 +311,27 @@ class TestEngineIntegration:
         second = BatchEngine(store=store).run(BatchJob("table1"))
         assert second.cached
 
+    def test_every_batch_reads_the_store(self, tmp_path):
+        # The store is the engine's only cache: a hit is not kept in memory.
+        store = ResultStore(str(tmp_path))
+        engine = BatchEngine(store=store)
+        engine.run(BatchJob("table1"))
+        for hits in (1, 2):
+            assert engine.run(BatchJob("table1")).cached
+            assert (store.hits, store.writes) == (hits, 1)
+
     def test_duplicate_jobs_read_the_store_once(self, tmp_path):
         store = ResultStore(str(tmp_path))
         outcomes = BatchEngine(store=store).run_many([BatchJob("table1")] * 3)
         assert (store.misses, store.hits, store.writes) == (1, 0, 1)
         assert [o.cached for o in outcomes] == [False, True, True]
 
-    def test_engine_rejects_store_plus_cache_dir(self, tmp_path):
-        with pytest.raises(ValueError, match="store"):
-            BatchEngine(store=ResultStore(str(tmp_path)), cache_dir=str(tmp_path))
+    def test_a_store_is_the_only_cache_knob(self):
+        # An engine gets its cache one way: a ResultStore (or none).
+        assert list(inspect.signature(BatchEngine).parameters) == ["jobs", "store"]
 
     def test_store_entries_carry_compute_duration(self, tmp_path):
-        engine = BatchEngine(cache_dir=str(tmp_path))
+        engine = BatchEngine(store=ResultStore(str(tmp_path)))
         result = engine.run(BatchJob("table1"))
         meta = engine.store.entry_meta(result.config_hash)
         assert meta["duration_seconds"] >= 0.0

@@ -18,6 +18,7 @@ from repro.core.config import regular_mesh_config
 from repro.geometry import Coord
 from repro.manycore.system import ManycoreSystem
 from repro.noc.network import Network
+from repro.service import ResultStore
 from repro.sim import (
     CycleAccurateBackend,
     EventDrivenBackend,
@@ -194,14 +195,11 @@ class TestEngineCacheBackendSwitching:
 
     def test_backend_switch_is_a_cache_miss(self, counting_experiment):
         """Same scenario under a different backend must recompute, never
-        serve the other backend's cached result."""
-        engine = BatchEngine()
+        serve the other backend's result (here: a duplicate in the batch)."""
         cycle_job = BatchJob("_sim_cache_probe", params={"backend": "cycle"})
         event_job = BatchJob("_sim_cache_probe", params={"backend": "event"})
 
-        first = engine.run(cycle_job)
-        second = engine.run(cycle_job)
-        third = engine.run(event_job)
+        first, second, third = BatchEngine().run_many([cycle_job, cycle_job, event_job])
 
         assert not first.cached and second.cached and not third.cached
         assert counting_experiment == ["cycle", "event"]
@@ -209,10 +207,10 @@ class TestEngineCacheBackendSwitching:
         assert third.result.rows()[0]["backend"] == "event"
 
     def test_backend_switch_misses_disk_cache_too(self, counting_experiment, tmp_path):
-        engine = BatchEngine(cache_dir=str(tmp_path))
+        engine = BatchEngine(store=ResultStore(str(tmp_path)))
         engine.run(BatchJob("_sim_cache_probe", params={"backend": "cycle"}))
         # A fresh engine over the same disk cache: cycle hits, event misses.
-        fresh = BatchEngine(cache_dir=str(tmp_path))
+        fresh = BatchEngine(store=ResultStore(str(tmp_path)))
         hit = fresh.run(BatchJob("_sim_cache_probe", params={"backend": "cycle"}))
         miss = fresh.run(BatchJob("_sim_cache_probe", params={"backend": "event"}))
         assert hit.cached and not miss.cached

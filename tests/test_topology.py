@@ -460,7 +460,7 @@ class TestScenarioTopology:
     def test_table2_sweeps_over_topologies(self):
         from repro.api import BatchEngine
 
-        engine = BatchEngine(use_cache=False)
+        engine = BatchEngine()
         results = engine.sweep("table2", quick=True, topology=("mesh", "ring"))
         mesh_rows = results[0].result.to_dict()["rows"]
         ring_rows = results[1].result.to_dict()["rows"]
