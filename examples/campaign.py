@@ -29,9 +29,7 @@ from repro.campaign import Campaign
 from repro.service import ResultStore
 
 
-def main() -> None:
-    store_root = tempfile.mkdtemp(prefix="repro-campaign-example-")
-
+def run_campaign(store_root: str) -> None:
     # A 12-point grid: three mesh sizes x two designs x two packet limits,
     # plus one deliberately broken design point.
     jobs = sweep_jobs(
@@ -91,7 +89,12 @@ def main() -> None:
 
     print(f"\nresult-set digest is execution-independent: "
           f"{len(json.dumps(report.result_set()))} bytes of deterministic JSON")
-    print(f"campaign manifest + checkpoints live under {store_root}")
+    print(f"campaign manifest + checkpoints live under {store_root} (removed on exit)")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-campaign-example-") as store_root:
+        run_campaign(store_root)
 
 
 if __name__ == "__main__":

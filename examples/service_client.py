@@ -116,14 +116,14 @@ def share_store_with_engine(store_dir: str) -> None:
 
 
 def main() -> None:
-    store_dir = tempfile.mkdtemp(prefix="repro-service-example-")
-    with start_service_thread(port=0, store=ResultStore(store_dir)) as handle:
-        client = ServiceClient(host=handle.host, port=handle.port)
-        print(f"daemon listening on {handle.host}:{handle.port}, store at {store_dir}\n")
-        submit_experiments(client)
-        submit_scenario_grid(client)
-        show_stats(client)
-    share_store_with_engine(store_dir)
+    with tempfile.TemporaryDirectory(prefix="repro-service-example-") as store_dir:
+        with start_service_thread(port=0, store=ResultStore(store_dir)) as handle:
+            client = ServiceClient(host=handle.host, port=handle.port)
+            print(f"daemon listening on {handle.host}:{handle.port}, store at {store_dir}\n")
+            submit_experiments(client)
+            submit_scenario_grid(client)
+            show_stats(client)
+        share_store_with_engine(store_dir)
 
 
 if __name__ == "__main__":

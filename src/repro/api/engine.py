@@ -360,21 +360,16 @@ class BatchEngine:
         """Everything currently in the persistent store (for ``export``)."""
         if self.store is None:
             return []
-        results: List[BatchResult] = []
-        for digest in self.store.keys():
-            result = self.store.get(digest)
-            if result is None:
-                continue
-            results.append(
-                BatchResult(
-                    job=BatchJob(experiment=result.experiment, params=result.params),
-                    result=result,
-                    config_hash=digest,
-                    cached=True,
-                    duration_seconds=0.0,
-                )
+        return [
+            BatchResult(
+                job=BatchJob(experiment=result.experiment, params=result.params),
+                result=result,
+                config_hash=digest,
+                cached=True,
+                duration_seconds=0.0,
             )
-        return results
+            for digest, result in self.store.items()
+        ]
 
     def _compute(self, jobs: List[BatchJob]) -> List[Tuple[str, Any, float]]:
         return map_jobs(safe_execute_job, jobs, jobs=self.jobs)

@@ -168,7 +168,8 @@ class WeightedRoundRobinArbiter(Arbiter):
     def pick(self, positions: List[int]) -> int:
         if len(positions) == 1:
             # "When an input port is the unique candidate to access an output
-            # port, its flit count is unaltered."
+            # port, its flit count is unaltered."  (So the router grants a
+            # lone requester without calling pick.)
             return positions[0]
 
         credits = self._credits

@@ -55,7 +55,7 @@ class Message:
     payload_flits: int
     kind: str = "data"
     context: Optional[object] = None
-    message_id: int = field(default_factory=lambda: next(_message_ids))
+    message_id: int = field(default_factory=_message_ids.__next__)
     #: Per-sender sequence number under the HARQ reliability layer
     #: (``None`` when the network has no fault model).
     sequence: Optional[int] = None
@@ -65,12 +65,15 @@ class Message:
     injection_cycle: Optional[int] = None
     #: Cycle at which the last flit was ejected at the destination.
     completion_cycle: Optional[int] = None
+    #: ``destination`` as one integer: the key of the routers' route memo.
+    route_key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.payload_flits < 1:
             raise ValueError("payload_flits must be >= 1")
         if self.source == self.destination:
             raise ValueError("message source and destination coincide")
+        self.route_key = self.destination.x << 32 | self.destination.y
 
     @property
     def latency(self) -> Optional[int]:
@@ -95,7 +98,7 @@ class Packet:
     size_flits: int
     index: int
     total: int
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     #: Transmission attempt this packet belongs to (1 = original send;
     #: retransmissions repacketize with higher attempts).
     attempt: int = 1

@@ -75,13 +75,20 @@ RouterEvent = Tuple["Router", int, int, Flit]
 
 
 class _Layout(NamedTuple):
-    """The ports and links of one router position, shared by every router built there."""
+    """The ports, requester tables and links of one router position.
+
+    Built once per topology and shared by every router built there; a
+    requester table depends only on its output's contenders, so outputs
+    with the same contenders share one.
+    """
 
     #: Port number and buffer name of each existing input port.
     inputs: Tuple[Tuple[int, str], ...]
     #: Per existing output port, in topology order: its port number, its
-    #: legal contender input ports and their port numbers.
-    outputs: Tuple[Tuple[int, Tuple[Port, ...], Tuple[int, ...]], ...]
+    #: legal contender input ports, their port numbers and its requester
+    #: table, which maps a bit mask of input port numbers to the positions
+    #: (ascending) of the contenders in the mask.
+    outputs: Tuple[Tuple[int, Tuple[Port, ...], Tuple[int, ...], Tuple[Tuple[int, ...], ...]], ...]
     #: By port number, the position in ``topology.nodes()`` of the router
     #: reached through each output port and of the router feeding each input
     #: port (``None`` where the port has no link).
@@ -90,8 +97,9 @@ class _Layout(NamedTuple):
     #: By port number, the name of the link leaving through each output
     #: port: the fault injector seeds the link's RNG stream from it.
     links: Tuple[str, ...]
-    #: Lookahead routing memo: destination ``(x, y)`` -> output port number.
-    routes: Dict[Tuple[int, int], int]
+    #: Lookahead routing memo: :attr:`Message.route_key` of the destination
+    #: -> output port number.
+    routes: Dict[int, int]
 
 
 @lru_cache(maxsize=16)
@@ -99,12 +107,19 @@ def _layouts(topology: Topology) -> Dict[Coord, _Layout]:
     """Every router position's ports, contenders and neighbours, built once per topology."""
     position = {coord: index for index, coord in enumerate(topology.nodes())}
     layouts = {}
+    tables: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
     for coord in position:
         outputs = []
         for port in topology.output_ports(coord):
             contenders = topology.legal_inputs_for_output(coord, port)
             numbers = tuple(PORT_INDEX[p] for p in contenders)
-            outputs.append((PORT_INDEX[port], contenders, numbers))
+            table = tables.get(numbers)
+            if table is None:
+                table = tables[numbers] = tuple(
+                    tuple(at for at, number in enumerate(numbers) if mask >> number & 1)
+                    for mask in range(1 << len(PORTS))
+                )
+            outputs.append((PORT_INDEX[port], contenders, numbers, table))
         inputs = tuple((PORT_INDEX[p], f"{coord}:{p.value}") for p in topology.input_ports(coord))
         downstream, upstream = (
             tuple(position.get(neighbour(coord, port)) for port in PORTS)
@@ -167,23 +182,24 @@ class Router:
         #: Credits towards the downstream buffer of each directional output.
         self._credits: List[int] = [config.buffer_depth] * len(PORTS)
         #: Per output port, in topology order: ``(port number, arbiter,
-        #: contender port numbers, counters, weights)``; the arbiter is
-        #: ``None`` for an output no input may legally request.  An idle cycle
-        #: changes nothing while a WaW arbiter's counter list equals its weight
-        #: list (both ``None`` for round-robin, which keeps no idle state).
+        #: contender port numbers, counters, weights, requester table)``; the
+        #: arbiter is ``None`` for an output no input may legally request.  An
+        #: idle cycle changes nothing while a WaW arbiter's counter list equals
+        #: its weight list (both ``None`` for round-robin, which keeps no idle
+        #: state, and where there is no arbiter).
         waw = config.is_waw
         if waw:
             counts = weight_table.counts(coord).inputs
             weights = [counts.get(port, 0) for port in PORTS]
         plan = []
-        for out, contenders, numbers in layout.outputs:
+        for out, contenders, numbers, table in layout.outputs:
             arbiter = counters = weights_at = None
             if contenders and waw:
                 arbiter = WeightedRoundRobinArbiter(contenders, [weights[n] for n in numbers])
                 counters, weights_at = arbiter._credits, arbiter._weights
             elif contenders:
                 arbiter = RoundRobinArbiter(contenders)
-            plan.append((out, arbiter, numbers, counters, weights_at))
+            plan.append((out, arbiter, numbers, counters, weights_at, table))
         self._plan: Tuple[tuple, ...] = tuple(plan)
 
         # Statistics / idle bookkeeping.
@@ -225,12 +241,11 @@ class Router:
             raise OverflowError(f"{dict(self._inputs)[port]}: push into a full buffer")
         flit.ready_cycle = ready_cycle
         if flit.flit_type in _HEADS:
-            destination = flit.packet.message.destination
-            key = (destination.x, destination.y)
-            route = self._routes.get(key)
+            message = flit.packet.message
+            route = self._routes.get(message.route_key)
             if route is None:
-                route = PORT_INDEX[self.topology.output_port(self.coord, destination)]
-                self._routes[key] = route
+                route = PORT_INDEX[self.topology.output_port(self.coord, message.destination)]
+                self._routes[message.route_key] = route
             flit.route = route
         fifo.append(flit)
         self._flits += 1
@@ -265,11 +280,12 @@ class Router:
 
         The caller (the event-driven backend) guarantees that during the
         skipped stretch no head-of-line flit anywhere in the network is
-        ready, so a cycle-accurate step of this router would at most notify
-        requester-less arbiters of an idle cycle (a no-op for round-robin, a
-        saturating credit refill for WaW) -- exactly what this method applies
-        in bulk.  Output ports held by a wormhole lock are skipped, matching
-        the per-cycle code path.
+        ready, so a cycle-accurate step of this router would at most refill
+        the WaW counters of its requester-less outputs, saturating at the
+        weights -- exactly what this method applies in bulk.  As in
+        :meth:`step`, only free outputs whose WaW counters differ from their
+        weights are called: a round-robin arbiter keeps no idle state, and
+        an output held by a wormhole lock is not idle.
         """
         if cycles <= 0:
             return
@@ -277,23 +293,24 @@ class Router:
             self._settle_idle()
             return
         self._was_idle = False
-        for out, arbiter, *_ in self._plan:
-            if arbiter is not None and self._owner[out] is None:
+        for out, arbiter, _, counters, weights, _ in self._plan:
+            if counters != weights and self._owner[out] is None:
                 arbiter.idle_cycles(cycles)
 
     def _settle_idle(self) -> None:
         """Apply the one-time arbiter refill of a router that went quiet.
 
-        Every arbiter, a locked output's included, gets ``buffer_depth`` idle
-        cycles once per quiet stretch, however long the stretch lasts.  The
-        paper's arbiter refills one credit per idle cycle instead, so a WaW
-        counter more than ``buffer_depth`` below its weight stays below it
-        (``tests/regressions/test_quiet_router_refill.py``).
+        Every WaW arbiter whose counters differ from its weights, a locked
+        output's included, gets ``buffer_depth`` idle cycles once per quiet
+        stretch, however long the stretch lasts; the others would not change.
+        The paper's arbiter refills one credit per idle cycle instead, so a
+        WaW counter more than ``buffer_depth`` below its weight stays below
+        it (``tests/regressions/test_quiet_router_refill.py``).
         """
         if self._was_idle:
             return
-        for _, arbiter, *_ in self._plan:
-            if arbiter is not None:
+        for _, arbiter, _, counters, weights, _ in self._plan:
+            if counters != weights:
                 arbiter.idle_cycles(self._depth)
         self._was_idle = True
 
@@ -303,11 +320,15 @@ class Router:
     def step(self, now: int, moves: List[RouterEvent]) -> None:
         """Evaluate one cycle, appending one event per flit move to ``moves``.
 
-        Output ports are served in topology order.  A free output polls its
-        legal contenders for a ready head flit routed to it; the owner of a
-        locked output forwards its next flit.  Both read the live state, so
-        an input whose tail left through an earlier output competes for the
-        later outputs of the same cycle.
+        Output ports are served in topology order.  A free output reads its
+        requesters from its requester table, keyed by the bit mask of the
+        inputs whose ready head flit is routed to it; a lone requester of a
+        WaW output wins without a ``pick`` call (its flit count stays
+        unaltered), while round-robin picks even a lone requester, which
+        moves its pointer.  The owner of a locked output forwards its next
+        flit.  A tail forwarded through an earlier output adds its input's
+        next head to the masks, so that input competes for the later outputs
+        of the same cycle.
         """
         if not self._flits:
             # Nothing buffered anywhere: apply the one-time idle refill.
@@ -318,40 +339,35 @@ class Router:
         owner = self._owner
         credits = self._credits
         moved = 0
-        # One bit per output port number that a ready head-of-line flit is
-        # routed to; a free output without its bit has no requester.
-        wanted = 0
-        for fifo in fifos:
-            if fifo and fifo[0].route >= 0 and fifo[0].ready_cycle <= now:
-                wanted |= 1 << fifo[0].route
+        # By output port number, the bit mask of the input port numbers whose
+        # ready head-of-line flit is routed to it.  No per-input grant state
+        # is needed: a granted head leaves in the cycle it wins, and body and
+        # tail flits carry route -1, so a routed head is always unallocated.
+        requests = [0] * len(PORTS)
+        for port, fifo in enumerate(fifos):
+            if fifo:
+                head = fifo[0]
+                if head.route >= 0 and head.ready_cycle <= now:
+                    requests[head.route] |= 1 << port
 
-        for out, arbiter, contenders, counters, weights in self._plan:
+        for out, arbiter, contenders, counters, weights, table in self._plan:
             holder = owner[out]
             if holder is None:
-                if arbiter is None:
-                    continue
-                if not wanted >> out & 1:
+                requesters = table[requests[out]]
+                if not requesters:
                     if counters != weights:
                         arbiter.idle_cycle()
-                    continue
-                # No per-input grant state is needed: a granted head leaves
-                # in the cycle it wins, and body/tail flits carry route -1,
-                # so a matching route is always an unallocated head.
-                requesters = []
-                for position, port in enumerate(contenders):
-                    fifo = fifos[port]
-                    if fifo:
-                        head = fifo[0]
-                        if head.route == out and head.ready_cycle <= now:
-                            requesters.append(position)
-                if not requesters:
-                    arbiter.idle_cycle()
                     continue
                 if out != _LOCAL and credits[out] <= 0:
                     # The downstream buffer is full: allocation is deferred, the
                     # arbiter state is left untouched (nobody is served).
                     continue
-                holder = owner[out] = contenders[arbiter.pick(requesters)]
+                if counters is not None and len(requesters) == 1:
+                    # WaW leaves a lone requester's flit count unaltered.
+                    holder = contenders[requesters[0]]
+                else:
+                    holder = contenders[arbiter.pick(requesters)]
+                owner[out] = holder
 
             # Move one flit of the packet owning ``out`` (if possible).
             fifo = fifos[holder]
@@ -372,7 +388,7 @@ class Router:
                 # The next flit of this input is a head: it may request a
                 # later output in this same cycle.
                 if fifo and fifo[0].ready_cycle <= now:
-                    wanted |= 1 << fifo[0].route
+                    requests[fifo[0].route] |= 1 << holder
         self._flits -= moved
         self.forwarded_flits += moved
 

@@ -34,7 +34,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..api.results import ExperimentResult, ResultEncoder
 
@@ -120,19 +120,29 @@ class ResultStore:
         # as None) and "is it a complete entry" -- no extra stat() probe.
         return self._read(digest) is not None
 
-    def keys(self) -> List[str]:
-        """Every digest with a readable entry, sorted."""
-        digests = []
+    def _entries(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
+        """``(digest, envelope)`` of every readable entry, sorted; one read each."""
         try:
-            names = os.listdir(self.root)
+            names = sorted(os.listdir(self.root))
         except OSError:
-            return []
-        for name in sorted(names):
+            return
+        for name in names:
             if name.endswith(_SUFFIX) and not name.startswith("."):
                 digest = name[: -len(_SUFFIX)]
-                if self._read(digest) is not None:
-                    digests.append(digest)
-        return digests
+                envelope = self._read(digest)
+                if envelope is not None:
+                    yield digest, envelope
+
+    def keys(self) -> List[str]:
+        """Every digest with a readable entry, sorted."""
+        return [digest for digest, _ in self._entries()]
+
+    def items(self) -> List[Tuple[str, ExperimentResult]]:
+        """Every readable entry as ``(digest, result)``, sorted by digest."""
+        return [
+            (digest, ExperimentResult.from_dict(envelope["result"]))
+            for digest, envelope in self._entries()
+        ]
 
     def __len__(self) -> int:
         return len(self.keys())
@@ -230,24 +240,13 @@ class ResultStore:
         """Store-wide statistics plus this instance's lookup counters.
 
         One pass over the directory: each entry is read and parsed exactly
-        once (``keys()`` would already cost a full ``_read`` per file, so
-        going through it would parse everything twice).
+        once.
         """
         entries = 0
         total_bytes = 0
         by_experiment: Dict[str, int] = {}
         compute_seconds = 0.0
-        try:
-            names = sorted(os.listdir(self.root))
-        except OSError:
-            names = []
-        for filename in names:
-            if not filename.endswith(_SUFFIX) or filename.startswith("."):
-                continue
-            digest = filename[: -len(_SUFFIX)]
-            envelope = self._read(digest)
-            if envelope is None:
-                continue
+        for digest, envelope in self._entries():
             entries += 1
             try:
                 total_bytes += os.path.getsize(self._path(digest))

@@ -110,6 +110,22 @@ class TestEngineCaching:
         listed = BatchEngine(store=ResultStore(cache_dir)).cached_results()
         assert {r.job.experiment for r in listed} == {"table1", "table2"}
 
+    def test_cached_results_reads_each_entry_once(self, tmp_path, monkeypatch):
+        store = ResultStore(str(tmp_path / "cache"))
+        jobs = [BatchJob("table1"), BatchJob("table2", {"sizes": (2,)})]
+        BatchEngine(store=store).run_many(jobs)
+        read = ResultStore._read
+        reads = []
+
+        def counted(self, digest):
+            reads.append(digest)
+            return read(self, digest)
+
+        monkeypatch.setattr(ResultStore, "_read", counted)
+        listed = BatchEngine(store=store).cached_results()
+        assert len(listed) == 2
+        assert sorted(reads) == sorted(r.config_hash for r in listed)
+
 
 class TestEngineParallel:
     def test_parallel_jobs_match_serial(self):

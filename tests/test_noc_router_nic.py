@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Scenario
 from repro.core.config import regular_mesh_config, waw_wap_config
 from repro.geometry import Coord, Port
 from repro.noc.flit import Message, Packet
 from repro.noc.network import Network
 from repro.noc.nic import NIC
-from repro.noc.router import PORT_INDEX, PORTS, Router
+from repro.noc.router import PORT_INDEX, PORTS, Router, _layouts
 
 
 def make_flits(src, dst, size):
@@ -158,6 +159,50 @@ class TestRouter:
         assert all(
             isinstance(arb, WeightedRoundRobinArbiter) for arb in router.arbiters.values()
         )
+
+    @pytest.mark.parametrize("design", ["waw_wap", "regular"])
+    def test_lone_requester_changes_only_round_robin_state(self, design):
+        """A lone WaW requester wins with its flit count unaltered, so the
+        router grants it without ``pick``; round-robin still picks it, which
+        gives it the lowest priority next time."""
+        config = getattr(Scenario.mesh(4), design)().build()
+        router = Router(Coord(1, 1), config)
+        arbiter = router.arbiters[Port.XPLUS]
+        # The highest-priority contender: a grant must move it to the end.
+        port = arbiter.priority_order()[0] if design == "regular" else Port.XPLUS
+        assert port in (Port.LOCAL, Port.XPLUS)
+        router.accept_flit(port, make_flits(Coord(0, 1), Coord(3, 1), 1)[0], ready_cycle=0)
+        moves = []
+        router.step(0, moves)
+        assert [(PORTS[move[1]], PORTS[move[2]]) for move in moves] == [(port, Port.XPLUS)]
+        if design == "regular":
+            assert arbiter.priority_order()[-1] is port
+        else:
+            assert {p: arbiter.credit_of(p) for p in arbiter.candidates} == arbiter.weights
+
+    @pytest.mark.parametrize(
+        "structure",
+        [
+            (4, 4, dict(kind="mesh")),
+            (4, 4, dict(kind="torus")),
+            (16, 1, dict(kind="ring")),
+            (4, 4, dict(kind="cmesh", concentration=2)),
+        ],
+        ids=["mesh", "torus", "ring", "cmesh"],
+    )
+    def test_requester_tables_filter_the_legal_contenders(self, structure):
+        """Each output's requester table maps a mask of input port numbers
+        to the positions of the topology's legal contenders in the mask."""
+        width, height, topology_args = structure
+        topology = Scenario.mesh(width, height).topology(**topology_args).build().topology
+        for coord, layout in _layouts(topology).items():
+            for out, contenders, _, table in layout.outputs:
+                legal = topology.legal_inputs_for_output(coord, PORTS[out])
+                assert contenders == legal, (coord, out)
+                assert len(table) == 1 << len(PORTS)
+                for mask, positions in enumerate(table):
+                    expected = [port for port in legal if mask >> PORT_INDEX[port] & 1]
+                    assert [legal[at] for at in positions] == expected, (coord, out, mask)
 
     @pytest.mark.parametrize("coord", [Coord(0, 0), Coord(1, 1), Coord(3, 2)])
     def test_router_built_alone_matches_its_network_twin(self, coord):

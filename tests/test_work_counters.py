@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis import vector
 from repro.api import Scenario, sweep
+from repro.core.arbitration import WeightedRoundRobinArbiter
 from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.experiments import scenario_wctt
@@ -88,6 +89,26 @@ class TestFaultyTrialPin:
         assert scans[0] == 141
         assert transmits[0] == network.fault_counts()["transmitted"] == 6493
 
+    def test_arbiters_work_only_where_state_changes(self, monkeypatch):
+        """A lone WaW requester wins without a ``pick`` call (its flit count
+        stays unaltered), so every call arbitrates between two or more heads
+        (calling it for every grant makes 8909 calls here).  A quiet router
+        refills only the WaW arbiters whose counters differ from their
+        weights (409 ``idle_cycles`` calls when it refills every arbiter)."""
+        pick = WeightedRoundRobinArbiter.pick
+        requesters = []
+
+        def counted(self, positions):
+            requesters.append(len(positions))
+            return pick(self, positions)
+
+        monkeypatch.setattr(WeightedRoundRobinArbiter, "pick", counted)
+        refills = _count_calls(monkeypatch, WeightedRoundRobinArbiter, "idle_cycles")
+        _faulty_trial()
+        assert len(requesters) == 1922
+        assert min(requesters) >= 2
+        assert refills[0] == 4
+
     def test_finished_network_is_freed_by_reference_counting(self):
         """No reference cycle keeps a drained network alive until a full
         collection."""
@@ -111,11 +132,16 @@ class TestEventBackendWork:
 
         Stepping every cycle (no event jumps) raises the ``step_active``
         count to the cycle count; stepping idle routers raises the
-        ``Router.step`` count.
+        ``Router.step`` count.  A lone kernel never contends, so no WaW
+        arbiter is picked (one call per grant makes 25,740) or leaves its
+        weights, and none is refilled (refilling every arbiter of a router
+        that goes quiet makes 49,417 ``idle_cycles`` calls).
         """
         config = Scenario.mesh(8).waw_wap().backend("event").build()
         system_steps = _count_calls(monkeypatch, ManycoreSystem, "step_active")
         router_steps = _count_calls(monkeypatch, Router, "step")
+        picks = _count_calls(monkeypatch, WeightedRoundRobinArbiter, "pick")
+        refills = _count_calls(monkeypatch, WeightedRoundRobinArbiter, "idle_cycles")
         cycles = forwarded = 0
         for profile in autobench_suite():
             system = ManycoreSystem(config)
@@ -127,6 +153,7 @@ class TestEventBackendWork:
         assert system_steps[0] == 22_733
         assert router_steps[0] == 43_035
         assert forwarded == 25_740
+        assert (picks[0], refills[0]) == (0, 0)
 
 
 class TestNetworkBuildWork:
