@@ -40,6 +40,10 @@ class Arbiter:
     WaW ``credit_of``/``weights``) translate at the boundary.
     """
 
+    #: Whether granting a lone requester leaves the arbiter state as it is;
+    #: the router then grants a lone requester without calling :meth:`pick`.
+    lone_grant_keeps_state = False
+
     def __init__(self, candidates: Sequence[Port]):
         if not candidates:
             raise ValueError("an arbiter needs at least one candidate input port")
@@ -165,11 +169,13 @@ class WeightedRoundRobinArbiter(Arbiter):
         return dict(zip(self.candidates, self._weights))
 
     # ------------------------------------------------------------------
+    #: "When an input port is the unique candidate to access an output port,
+    #: its flit count is unaltered."
+    lone_grant_keeps_state = True
+
     def pick(self, positions: List[int]) -> int:
         if len(positions) == 1:
-            # "When an input port is the unique candidate to access an output
-            # port, its flit count is unaltered."  (So the router grants a
-            # lone requester without calling pick.)
+            # The unique candidate: see ``lone_grant_keeps_state``.
             return positions[0]
 
         credits = self._credits

@@ -22,7 +22,7 @@ from typing import List, Optional
 
 from ..geometry import Coord
 
-__all__ = ["FlitType", "Flit", "Packet", "Message"]
+__all__ = ["FlitType", "HEADS", "TAILS", "Flit", "Packet", "Message"]
 
 _message_ids = itertools.count()
 _packet_ids = itertools.count()
@@ -36,6 +36,12 @@ class FlitType:
     TAIL = "tail"
     #: Single-flit packet: simultaneously head and tail.
     HEAD_TAIL = "head_tail"
+
+
+#: The flit types that open a packet (and request an output port) and the
+#: ones that close it (and release the wormhole lock).
+HEADS = (FlitType.HEAD, FlitType.HEAD_TAIL)
+TAILS = (FlitType.TAIL, FlitType.HEAD_TAIL)
 
 
 @dataclass
@@ -120,11 +126,11 @@ class Packet:
 
     def make_flits(self) -> List["Flit"]:
         """Materialise the flits of this packet, in transmission order."""
+        if self.size_flits == 1:
+            return [Flit(self, 0, FlitType.HEAD_TAIL)]
         flits: List[Flit] = []
         for i in range(self.size_flits):
-            if self.size_flits == 1:
-                ftype = FlitType.HEAD_TAIL
-            elif i == 0:
+            if i == 0:
                 ftype = FlitType.HEAD
             elif i == self.size_flits - 1:
                 ftype = FlitType.TAIL
@@ -156,11 +162,11 @@ class Flit:
 
     @property
     def is_head(self) -> bool:
-        return self.flit_type in (FlitType.HEAD, FlitType.HEAD_TAIL)
+        return self.flit_type in HEADS
 
     @property
     def is_tail(self) -> bool:
-        return self.flit_type in (FlitType.TAIL, FlitType.HEAD_TAIL)
+        return self.flit_type in TAILS
 
     @property
     def destination(self) -> Coord:

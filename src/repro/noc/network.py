@@ -29,9 +29,9 @@ from ..core.config import NoCConfig
 from ..core.weights import WeightTable
 from ..geometry import Coord, Port
 from ..sim import SimulationBackend, make_backend
-from .flit import Flit, Message
+from .flit import HEADS, Flit, Message
 from .nic import NIC
-from .router import _HEADS, PORT_INDEX, PORTS, Router, RouterEvent, _layouts
+from .router import PORT_INDEX, PORTS, Router, RouterEvent, _layouts
 from .stats import NetworkStats
 
 __all__ = ["Network"]
@@ -315,7 +315,7 @@ class Network:
         busy_routers = self._busy_routers
         for nic, flit in injects:
             receiver = self._injects[nic]
-            delay = head_delay if flit.flit_type in _HEADS else body_delay
+            delay = head_delay if flit.flit_type in HEADS else body_delay
             receiver._accept(_LOCAL, flit, now + delay)
             busy_routers[receiver] = None
         for router, in_port, out_port, flit in moves:
@@ -343,7 +343,7 @@ class Network:
                 # Both backends funnel forwards through this one apply
                 # path, so fault decisions are backend-independent.
                 injector.transmit(names[out_port], flit)
-            delay = link_latency + (head_delay if flit.flit_type in _HEADS else body_delay)
+            delay = link_latency + (head_delay if flit.flit_type in HEADS else body_delay)
             # Travel-direction naming: the flit enters on the input port
             # with the number of the output it left through.
             receiver._accept(out_port, flit, now + delay)

@@ -43,7 +43,7 @@ from ..core.config import NoCConfig
 from ..core.packetization import MessageDescriptor, PacketDescriptor, Packetizer, make_packetizer
 from ..faults.models import MessageDeliveryError, ReliabilityConfig
 from ..geometry import Coord
-from .flit import Flit, FlitType, Message, Packet
+from .flit import Flit, Message, Packet
 
 __all__ = ["ACK_KIND", "CONTROL_KINDS", "NACK_KIND", "NIC"]
 
@@ -177,7 +177,6 @@ class NIC:
             descriptors = self._shapes[shape] = self.packetizer.packetize(
                 MessageDescriptor(payload_flits=message.payload_flits, kind=message.kind)
             )
-        queue = self._injection_queue
         queued = 0
         for pkt_desc in descriptors:
             packet = Packet(
@@ -187,11 +186,9 @@ class NIC:
                 total=pkt_desc.total,
                 attempt=attempt,
             )
-            if pkt_desc.flits == 1:
-                queue.append(Flit(packet, 0, FlitType.HEAD_TAIL))
-            else:
-                queue.extend(packet.make_flits())
-            queued += pkt_desc.flits
+            flits = packet.make_flits()
+            self._injection_queue.extend(flits)
+            queued += len(flits)
         return queued
 
     def pending_injection_flits(self) -> int:

@@ -52,7 +52,7 @@ from ..core.config import NoCConfig
 from ..core.weights import WeightTable
 from ..geometry import Coord, Mesh, Port
 from ..topology import Topology
-from .flit import Flit, FlitType
+from .flit import HEADS, TAILS, Flit
 
 __all__ = ["PORTS", "PORT_INDEX", "Router", "RouterEvent"]
 
@@ -62,9 +62,6 @@ PORTS: Tuple[Port, ...] = tuple(Port)
 #: Port number of each :class:`Port` (used at the ``Port`` API boundary).
 PORT_INDEX: Dict[Port, int] = {port: index for index, port in enumerate(PORTS)}
 _LOCAL = PORT_INDEX[Port.LOCAL]
-
-_HEADS = (FlitType.HEAD, FlitType.HEAD_TAIL)
-_TAILS = (FlitType.TAIL, FlitType.HEAD_TAIL)
 
 #: The event of one flit move, applied by the network after every router
 #: stepped: ``(router, in_port, out_port, flit)`` (port numbers, see
@@ -240,7 +237,7 @@ class Router:
         if len(fifo) >= self._depth:
             raise OverflowError(f"{dict(self._inputs)[port]}: push into a full buffer")
         flit.ready_cycle = ready_cycle
-        if flit.flit_type in _HEADS:
+        if flit.flit_type in HEADS:
             message = flit.packet.message
             route = self._routes.get(message.route_key)
             if route is None:
@@ -322,13 +319,14 @@ class Router:
 
         Output ports are served in topology order.  A free output reads its
         requesters from its requester table, keyed by the bit mask of the
-        inputs whose ready head flit is routed to it; a lone requester of a
-        WaW output wins without a ``pick`` call (its flit count stays
-        unaltered), while round-robin picks even a lone requester, which
-        moves its pointer.  The owner of a locked output forwards its next
-        flit.  A tail forwarded through an earlier output adds its input's
-        next head to the masks, so that input competes for the later outputs
-        of the same cycle.
+        inputs whose ready head flit is routed to it.  A lone requester wins
+        without a ``pick`` call where its arbiter's
+        ``lone_grant_keeps_state`` says the grant changes nothing (WaW,
+        which leaves a unique candidate's flit count unaltered); round-robin
+        picks even a lone requester, which moves its pointer.  The owner of
+        a locked output forwards its next flit.  A tail forwarded through an
+        earlier output adds its input's next head to the masks, so that
+        input competes for the later outputs of the same cycle.
         """
         if not self._flits:
             # Nothing buffered anywhere: apply the one-time idle refill.
@@ -362,8 +360,7 @@ class Router:
                     # The downstream buffer is full: allocation is deferred, the
                     # arbiter state is left untouched (nobody is served).
                     continue
-                if counters is not None and len(requesters) == 1:
-                    # WaW leaves a lone requester's flit count unaltered.
+                if len(requesters) == 1 and arbiter.lone_grant_keeps_state:
                     holder = contenders[requesters[0]]
                 else:
                     holder = contenders[arbiter.pick(requesters)]
@@ -383,7 +380,7 @@ class Router:
             del fifo[0]
             moved += 1
             moves.append((self, holder, out, flit))
-            if flit.flit_type in _TAILS:
+            if flit.flit_type in TAILS:
                 owner[out] = None
                 # The next flit of this input is a head: it may request a
                 # later output in this same cycle.

@@ -280,16 +280,23 @@ class ReproService:
                     self._stats["failed"] += 1
                 entry.future.set_result(None)
 
-    def _entry_result(self, entry: _Entry) -> Optional[ExperimentResult]:
-        """The completed result of ``entry`` (from memory or the store)."""
+    def _entry_result(
+        self, entry: _Entry, stored: Optional[Dict[str, ExperimentResult]] = None
+    ) -> Optional[ExperimentResult]:
+        """The completed result of ``entry``: from memory, from ``stored``
+        (results already read from the store) or from the store."""
         if entry.result is not None:
             return entry.result
+        if stored is not None and entry.digest in stored:
+            return stored[entry.digest]
         if self.store is not None:
             return self.store.get(entry.digest)
         return None
 
-    def _result_wire(self, entry: _Entry) -> Optional[Dict[str, Any]]:
-        result = self._entry_result(entry)
+    def _result_wire(
+        self, entry: _Entry, stored: Optional[Dict[str, ExperimentResult]] = None
+    ) -> Optional[Dict[str, Any]]:
+        result = self._entry_result(entry, stored)
         if result is None:
             return None
         data = result.to_dict()
@@ -456,10 +463,13 @@ class ReproService:
     async def _handle_fetch(
         self, message: Dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
+        stored: Dict[str, ExperimentResult] = {}
         if message.get("all"):
+            # One read per store entry, whether this session computed it or not.
+            if self.store is not None:
+                stored = dict(self.store.items())
             hashes = sorted(
-                set(self.store.keys() if self.store is not None else [])
-                | {d for d, e in self._entries.items() if e.state == "done"}
+                set(stored) | {d for d, e in self._entries.items() if e.state == "done"}
             )
         else:
             hashes = list(message["hashes"])
@@ -469,14 +479,14 @@ class ReproService:
             entry = self._entries.get(digest)
             wire: Optional[Dict[str, Any]] = None
             if entry is not None and entry.state == "done":
-                wire = self._result_wire(entry)
+                wire = self._result_wire(entry, stored)
                 if wire is not None:
                     wire["cached"] = True
             elif entry is not None and entry.state == "failed":
                 missing.append(digest)
                 continue
             elif self.store is not None:
-                result = self.store.get(digest)
+                result = stored[digest] if digest in stored else self.store.get(digest)
                 if result is not None:
                     wire = result.to_dict()
                     wire["config_hash"] = digest

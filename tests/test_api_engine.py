@@ -103,27 +103,22 @@ class TestEngineCaching:
         results = engine.run_many([BatchJob("table1"), BatchJob("table1")])
         assert [r.cached for r in results] == [False, True]
 
-    def test_cached_results_enumerates_disk_cache(self, tmp_path):
+    def test_cached_results_enumerates_disk_cache(self, tmp_path, monkeypatch):
         cache_dir = str(tmp_path / "cache")
         engine = BatchEngine(store=ResultStore(cache_dir))
         engine.run_many([BatchJob("table1"), BatchJob("table2", {"sizes": (2,)})])
-        listed = BatchEngine(store=ResultStore(cache_dir)).cached_results()
-        assert {r.job.experiment for r in listed} == {"table1", "table2"}
-
-    def test_cached_results_reads_each_entry_once(self, tmp_path, monkeypatch):
-        store = ResultStore(str(tmp_path / "cache"))
-        jobs = [BatchJob("table1"), BatchJob("table2", {"sizes": (2,)})]
-        BatchEngine(store=store).run_many(jobs)
-        read = ResultStore._read
+        store = ResultStore(cache_dir)
+        read = store._read
         reads = []
 
-        def counted(self, digest):
+        def counted(digest):
             reads.append(digest)
-            return read(self, digest)
+            return read(digest)
 
-        monkeypatch.setattr(ResultStore, "_read", counted)
+        monkeypatch.setattr(store, "_read", counted)
         listed = BatchEngine(store=store).cached_results()
-        assert len(listed) == 2
+        assert {r.job.experiment for r in listed} == {"table1", "table2"}
+        # One read per entry.
         assert sorted(reads) == sorted(r.config_hash for r in listed)
 
 

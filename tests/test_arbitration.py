@@ -8,6 +8,7 @@ bandwidth shares under saturation.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import pytest
@@ -182,6 +183,26 @@ class TestWeightedRoundRobinArbiter:
                 assert winner is None
             for port in ports:
                 assert 0 <= arb.credit_of(port) <= max(arb.weights[port], 0) + 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: RoundRobinArbiter(PORTS), lambda: WeightedRoundRobinArbiter(PORTS, [3, 0, 1, 2])],
+    ids=["round_robin", "waw"],
+)
+def test_lone_grant_keeps_state_says_what_pick_does(make):
+    """The router grants a lone requester without ``pick`` exactly where the
+    arbiter's ``lone_grant_keeps_state`` holds, so the flag must match
+    ``pick``: a one-requester pick returns it and, where the flag is set,
+    changes nothing."""
+    arbiter = make()
+    arbiter.pick([0, 1, 2, 3])  # leave the initial state
+    changed = False
+    for position in range(len(PORTS)):
+        before = copy.deepcopy(vars(arbiter))
+        assert arbiter.pick([position]) == position
+        changed |= vars(arbiter) != before
+    assert changed is not arbiter.lone_grant_keeps_state
 
 
 class TestMakeArbiter:

@@ -232,6 +232,14 @@ class TestBuildMatchesPortReference:
                 assert arbiter.candidates == want.candidates, (coord, out)
                 if config.is_waw:
                     assert list(arbiter.weights.items()) == list(want.weights.items()), (coord, out)
+            # Each output's requester table maps a bit mask of input port
+            # numbers to the positions of its legal contenders in the mask.
+            for out, *_, table in router._plan:
+                legal = topology.legal_inputs_for_output(coord, PORTS[out])
+                assert len(table) == 1 << len(PORTS)
+                for mask, positions in enumerate(table):
+                    requesters = [port for port in legal if mask >> PORT_INDEX[port] & 1]
+                    assert [legal[at] for at in positions] == requesters, (coord, out, mask)
 
             nic, downstream, upstream, _ = network._links[router]
             assert nic is network.nics[coord]

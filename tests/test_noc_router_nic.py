@@ -10,7 +10,7 @@ from repro.geometry import Coord, Port
 from repro.noc.flit import Message, Packet
 from repro.noc.network import Network
 from repro.noc.nic import NIC
-from repro.noc.router import PORT_INDEX, PORTS, Router, _layouts
+from repro.noc.router import PORT_INDEX, PORTS, Router
 
 
 def make_flits(src, dst, size):
@@ -179,30 +179,6 @@ class TestRouter:
             assert arbiter.priority_order()[-1] is port
         else:
             assert {p: arbiter.credit_of(p) for p in arbiter.candidates} == arbiter.weights
-
-    @pytest.mark.parametrize(
-        "structure",
-        [
-            (4, 4, dict(kind="mesh")),
-            (4, 4, dict(kind="torus")),
-            (16, 1, dict(kind="ring")),
-            (4, 4, dict(kind="cmesh", concentration=2)),
-        ],
-        ids=["mesh", "torus", "ring", "cmesh"],
-    )
-    def test_requester_tables_filter_the_legal_contenders(self, structure):
-        """Each output's requester table maps a mask of input port numbers
-        to the positions of the topology's legal contenders in the mask."""
-        width, height, topology_args = structure
-        topology = Scenario.mesh(width, height).topology(**topology_args).build().topology
-        for coord, layout in _layouts(topology).items():
-            for out, contenders, _, table in layout.outputs:
-                legal = topology.legal_inputs_for_output(coord, PORTS[out])
-                assert contenders == legal, (coord, out)
-                assert len(table) == 1 << len(PORTS)
-                for mask, positions in enumerate(table):
-                    expected = [port for port in legal if mask >> PORT_INDEX[port] & 1]
-                    assert [legal[at] for at in positions] == expected, (coord, out, mask)
 
     @pytest.mark.parametrize("coord", [Coord(0, 0), Coord(1, 1), Coord(3, 2)])
     def test_router_built_alone_matches_its_network_twin(self, coord):

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.api import BatchJob, ExperimentResult, Scenario, config_hash, sweep
+from repro.api import BatchEngine, BatchJob, ExperimentResult, Scenario, config_hash, sweep
 from repro.api.registry import _REGISTRY, experiment
 from repro.service import (
     ResultStore,
@@ -178,11 +178,24 @@ class TestServerBasics:
         (state,) = client.status(["00000000deadbeef"])
         assert state["state"] == "unknown"
 
-    def test_fetch_missing_and_all(self, client):
+    def test_fetch_missing_and_all(self, service, client, monkeypatch):
         assert client.fetch(["00000000deadbeef"])["missing"] == ["00000000deadbeef"]
         client.submit([BatchJob("table1", quick=True)])
+        # An entry only the store knows: another process computed it.
+        store = service.service.store
+        BatchEngine(store=ResultStore(store.root)).run(BatchJob("table2", quick=True))
+        read = store._read
+        reads = []
+
+        def counted(digest):
+            reads.append(digest)
+            return read(digest)
+
+        monkeypatch.setattr(store, "_read", counted)
         everything = client.fetch(all=True)
-        assert len(everything["results"]) == 1
+        assert len(everything["results"]) == 2
+        # One read per store entry, the daemon's own included.
+        assert sorted(reads) == sorted(r["config_hash"] for r in everything["results"])
 
     def test_failing_job_reports_error_and_retries(self, client):
         response = client.submit([{"experiment": "table1", "params": {"bogus_kw": 1}}])
@@ -259,8 +272,6 @@ class TestSweepAcceptance:
             assert stats["jobs"]["store_hits"] == 1
 
     def test_store_is_shared_with_the_batch_engine(self, service, client, tmp_path):
-        from repro.api import BatchEngine
-
         client.submit([{"experiment": "table1", "quick": True}])
         engine = BatchEngine(store=ResultStore(service.service.store.root))
         result = engine.run(BatchJob("table1", quick=True))
