@@ -2,7 +2,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-wnoc",
-    version="1.10.0",
+    version="1.11.0",
     description=(
         "Reproduction of 'Improving Performance Guarantees in Wormhole Mesh "
         "NoC Designs' (Panic et al., DATE 2016)"

@@ -18,7 +18,6 @@ from .vector import (
     VectorWaWWaPAnalysis,
     make_vector_analysis,
     vector_supported,
-    vector_ubd_entries,
     vector_wctt_map,
     vector_wctt_summary,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "VectorWaWWaPAnalysis",
     "make_vector_analysis",
     "vector_supported",
-    "vector_ubd_entries",
     "vector_wctt_map",
     "vector_wctt_summary",
 ]

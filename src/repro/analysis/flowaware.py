@@ -45,9 +45,14 @@ packet in its own input buffer*.  Under round-robin with recursive service
 times the busy-period recursion dominates any finite backlog (the same
 argument the regular reference relies on and the validation experiment
 confirms); under WaW+WaP the buffered backlog is charged explicitly as
-extra arbitration rounds -- the same correction the weighted bound's
-``regulated_contenders=False`` variant applies.  Both analyses are
-therefore burst-safe as-is and serve as their own validation variant.
+extra arbitration rounds, as the weighted bound's burst-safe variant
+does.  Both analyses are therefore burst-safe as-is and serve as their own
+validation variant.
+
+The per-hop rules are the paper analyses' own: the merging service
+recursion and busy-period walk of :mod:`repro.core.wctt_regular` and the
+WaW+WaP hop charge of :mod:`repro.core.wctt_weighted`, fed with flow-aware
+contention instead of every legal input's.
 
 Both analyses are topology-generic: routes, port legality and downstream
 links all come from :mod:`repro.topology`, so tori, rings and concentrated
@@ -60,9 +65,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.config import NoCConfig
 from ..core.flows import Flow, FlowSet
+from ..core.wctt_regular import busy_period_wctt, merging_service_times
+from ..core.wctt_weighted import waw_hop_delay
 from ..core.weights import WeightTable
 from ..geometry import Coord, Mesh, Port
-from ..topology.base import Hop
 
 __all__ = ["FlowAwareWCTTAnalysis", "HolisticAnalysis", "TrajectoryAnalysis"]
 
@@ -161,74 +167,6 @@ class FlowAwareWCTTAnalysis:
         return cached
 
     # ------------------------------------------------------------------
-    # Per-port service times (back-pressure-aware, merging recursion)
-    # ------------------------------------------------------------------
-    @property
-    def _serialization(self) -> int:
-        return self.contender_packet_flits * self.config.timing.flit_cycle
-
-    def _route_service_times(self, route: List[Hop]) -> List[int]:
-        """Worst occupancy of each route output port by one contending packet.
-
-        Structurally identical to the regular reference's merging recursion
-        (a contender that wins a port follows the remainder of our route),
-        with the all-inputs contender count replaced by the flow-aware
-        pressure of the port.
-        """
-        timing = self.config.timing
-        serialization = self._serialization
-        services = [0] * len(route)
-        services[-1] = serialization  # ejection: drained at link rate
-        for i in range(len(route) - 2, -1, -1):
-            next_hop = route[i + 1]
-            pressure = max(1, self.pressure(next_hop.router, next_hop.out_port))
-            occupancy = timing.routing_latency + pressure * services[i + 1]
-            services[i] = max(serialization, occupancy) + timing.link_latency
-        return services
-
-    # ------------------------------------------------------------------
-    # Per-hop wait (busy-period mode, non-WaW+WaP designs)
-    # ------------------------------------------------------------------
-    def _hop_wait(self, hop: Hop, service: int) -> int:
-        """Worst cycles the packet waits for ``hop``'s output-port grant."""
-        pressure = max(1, self.pressure(hop.router, hop.out_port))
-        return (pressure - 1) * service
-
-    # ------------------------------------------------------------------
-    # Local per-hop delay (WaW+WaP designs)
-    # ------------------------------------------------------------------
-    def _extra_backlog_rounds(self, hop: Hop) -> int:
-        """Arbitration rounds draining our own input's buffered backlog.
-
-        Non-conforming (bursty) upstream flows may have filled the packet's
-        input buffer ahead of it; each round drains the input's credit worth
-        of packet slots.  Mirrors the weighted bound's
-        ``regulated_contenders=False`` correction, charged unconditionally
-        so the analyses stay sound against adversarial traffic.
-        """
-        backlog_slots = self.config.buffer_depth
-        input_slots = self._input_slots(hop.router, hop.in_port)
-        return max(0, -(-backlog_slots // input_slots) - 1)
-
-    def _local_hop_delay(self, hop: Hop) -> int:
-        """WaW+WaP hop delay: router pipeline + arbitration rounds + link.
-
-        Identical in structure to the weighted reference's ``hop_delay``
-        (time-composability makes the hop local) with the full-weight round
-        replaced by the flow-aware round -- only active inputs' slots are
-        served.
-        """
-        timing = self.config.timing
-        m = self.contender_packet_flits
-        slots = max(1, self.pressure(hop.router, hop.out_port))
-        rounds = 1 + self._extra_backlog_rounds(hop)
-        return (
-            timing.routing_latency
-            + rounds * slots * m * timing.flit_cycle
-            + (0 if hop.out_port is Port.LOCAL else timing.link_latency)
-        )
-
-    # ------------------------------------------------------------------
     # Packet / message bounds
     # ------------------------------------------------------------------
     def _own_flow(self, source: Coord, destination: Coord) -> Flow:
@@ -262,6 +200,37 @@ class FlowAwareWCTTAnalysis:
     def wctt_packet(
         self, source: Coord, destination: Coord, *, packet_flits: Optional[int] = None
     ) -> int:
+        """WCTT of one packet of a flow of the set.
+
+        On a WaW+WaP design, the sum of the weighted bound's burst-safe hop
+        charge over the route, each round serving the active inputs' slots
+        only.  Otherwise the regular merging recursion over the route's
+        flow-aware pressures, accumulated by :meth:`_route_bound`.
+        """
+        self._own_flow(source, destination)
+        own_flits = self._own_flits(packet_flits)
+        route = self.topology.route(source, destination)
+        pressures = [max(1, self.pressure(hop.router, hop.out_port)) for hop in route]
+        if self.config.is_waw_wap:
+            return sum(
+                waw_hop_delay(
+                    self.config,
+                    hop.out_port,
+                    slots,
+                    self._input_slots(hop.router, hop.in_port),
+                )
+                for hop, slots in zip(route, pressures)
+            )
+        services = merging_service_times(
+            self.config.timing, self.contender_packet_flits, pressures
+        )
+        return self._route_bound(own_flits, pressures, services)
+
+    def _route_bound(
+        self, own_flits: int, pressures: List[int], services: List[int]
+    ) -> int:
+        """Subclass hook: the packet bound from per-hop pressures and
+        output-port service times."""
         raise NotImplementedError
 
     def wctt_message(self, source: Coord, destination: Coord, *, payload_flits: int) -> int:
@@ -289,23 +258,6 @@ class FlowAwareWCTTAnalysis:
             total += self.wctt_packet(source, destination, packet_flits=rest)
         return total
 
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def zero_load_latency(self, source: Coord, destination: Coord, packet_flits: int = 1) -> int:
-        """Latency with no contention at all (lower bound, used by tests)."""
-        route = self.topology.route(source, destination)
-        timing = self.config.timing
-        hops = len(route)
-        return (
-            hops * timing.routing_latency
-            + (hops - 1) * timing.link_latency
-            + packet_flits * timing.flit_cycle
-        )
-
-    def route(self, source: Coord, destination: Coord) -> List[Hop]:
-        return self.topology.route(source, destination)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{type(self).__name__}({self.config.describe()}, "
@@ -328,26 +280,10 @@ class HolisticAnalysis(FlowAwareWCTTAnalysis):
     def _port_pressure(self, router: Coord, crossing: Dict[Port, int]) -> int:
         return sum(self._input_slots(router, in_port) for in_port in crossing)
 
-    def wctt_packet(
-        self, source: Coord, destination: Coord, *, packet_flits: Optional[int] = None
+    def _route_bound(
+        self, own_flits: int, pressures: List[int], services: List[int]
     ) -> int:
-        self._own_flow(source, destination)
-        own_flits = self._own_flits(packet_flits)
-        timing = self.config.timing
-        route = self.topology.route(source, destination)
-        if self.config.is_waw_wap:
-            return sum(self._local_hop_delay(hop) for hop in route)
-        services = self._route_service_times(route)
-        own_serialization = own_flits * timing.flit_cycle
-
-        progress_after: int = own_serialization
-        for i in range(len(route) - 1, 0, -1):
-            wait = self._hop_wait(route[i], services[i])
-            stage = timing.link_latency + timing.routing_latency + wait + progress_after
-            progress_after = max(own_serialization, stage)
-
-        injection_wait = self._hop_wait(route[0], services[0])
-        return timing.routing_latency + injection_wait + progress_after
+        return busy_period_wctt(self.config.timing, own_flits, pressures, services)
 
 
 class TrajectoryAnalysis(FlowAwareWCTTAnalysis):
@@ -369,20 +305,13 @@ class TrajectoryAnalysis(FlowAwareWCTTAnalysis):
             for in_port, count in crossing.items()
         )
 
-    def wctt_packet(
-        self, source: Coord, destination: Coord, *, packet_flits: Optional[int] = None
+    def _route_bound(
+        self, own_flits: int, pressures: List[int], services: List[int]
     ) -> int:
-        self._own_flow(source, destination)
-        own_flits = self._own_flits(packet_flits)
         timing = self.config.timing
-        route = self.topology.route(source, destination)
-        if self.config.is_waw_wap:
-            return sum(self._local_hop_delay(hop) for hop in route)
-        services = self._route_service_times(route)
-
         total = timing.routing_latency  # injection-router pipeline
-        for i, hop in enumerate(route):
+        for i, (pressure, service) in enumerate(zip(pressures, services)):
             if i > 0:
                 total += timing.link_latency + timing.routing_latency
-            total += self._hop_wait(hop, services[i])
+            total += (pressure - 1) * service
         return total + own_flits * timing.flit_cycle

@@ -1,4 +1,4 @@
-"""Numpy-vectorized batch evaluation of the analytical models.
+"""Numpy-vectorized all-to-one WCTT grids of the paper's analyses.
 
 The scalar WCTT analyses (:mod:`repro.core.wctt_regular`,
 :mod:`repro.core.wctt_weighted`) walk every flow's route hop by hop in pure
@@ -8,15 +8,19 @@ evaluates the same closed forms as array operations over the whole node
 grid at once:
 
 * per-port weight/contender count matrices come straight from the closed
-  forms (:func:`closed_form_count_arrays`) or from an existing
-  :class:`~repro.core.weights.WeightTable` (:func:`weight_count_arrays`);
+  forms (:func:`closed_form_count_arrays`);
 * all XY routes towards one destination ``d = (dx, dy)`` share their
   column suffix at ``x = dx``, so the per-source WCTT map decomposes into
   one O(height) column chain plus row-wise prefix sums -- a handful of
-  cumulative sums instead of a route walk per flow;
-* WaW+WaP message bounds follow by broadcast arithmetic (first slice plus
-  ``(k - 1)`` bottleneck rounds via cumulative maxima); the regular packet
-  bound is affine in the packet's own flit count.
+  cumulative sums instead of a route walk per flow.
+
+The kernels serve :mod:`repro.experiments.scenario_wctt` only: the packet
+bound of every source towards the memory controller, on the paper's
+closed-form weights with regulated contenders.  Per-core UBD tables,
+message bounds and table-weighted or burst-safe WaW bounds are left to the
+scalar analyses: no benchmark workload builds a
+:class:`~repro.core.ubd.UBDTable`, and vectorizing one saved 0-25 ms on
+quick experiment runs of 10-270 ms (in-process, on a 2-vCPU host).
 
 Exactness is non-negotiable: the vectorized engine must produce
 *bit-identical integers* to the scalar path (the differential harness
@@ -42,8 +46,7 @@ Scope: edge-bounded meshes (plain :class:`~repro.geometry.Mesh`,
 under the ``merging`` contender policy that the paper's analyses use.
 Everything else (torus, ring, YX) falls back to the scalar reference.  No
 caller chooses between the two paths: :func:`vector_supported` is the
-single gatekeeper that :mod:`repro.experiments.scenario_wctt` and
-:class:`repro.core.ubd.UBDTable` consult.
+single gatekeeper that :mod:`repro.experiments.scenario_wctt` consults.
 """
 
 from __future__ import annotations
@@ -62,20 +65,17 @@ from ..geometry import Coord, Mesh, Port
 from ..topology.base import Topology, as_topology
 from ..core.config import NoCConfig
 from ..core.wctt import WCTTSummary
-from ..core.weights import WeightTable
 from .backends import make_analysis_backend
 
 __all__ = [
     "HAS_NUMPY",
     "closed_form_count_arrays",
-    "weight_count_arrays",
     "vector_supported",
     "VectorWaWWaPAnalysis",
     "VectorRegularAnalysis",
     "make_vector_analysis",
     "vector_wctt_map",
     "vector_wctt_summary",
-    "vector_ubd_entries",
 ]
 
 #: Largest intermediate the int64 WaW kernel may produce before the design
@@ -96,18 +96,14 @@ def _coordinate_grids(width: int, height: int):
     return xs, ys
 
 
-def closed_form_count_arrays(
-    mesh: Mesh, *, as_printed: bool = False
-) -> Tuple[Dict[Port, Any], Dict[Port, Any]]:
+def closed_form_count_arrays(mesh: Mesh) -> Tuple[Dict[Port, Any], Dict[Port, Any]]:
     """Per-port flow-count matrices from the paper's closed forms.
 
-    Vectorized counterpart of
-    :func:`repro.core.weights.source_port_counts` (default) /
-    :func:`repro.core.weights.paper_port_counts` (``as_printed=True``),
+    Vectorized counterpart of :func:`repro.core.weights.source_port_counts`,
     scaled by the topology's ``terminals_per_node`` exactly like
-    :meth:`WeightTable.from_closed_form`.  Returns ``(inputs, outputs)``:
-    dicts mapping each :class:`Port` to an ``(height, width)`` int64 array
-    indexed ``[y, x]``.
+    :meth:`~repro.core.weights.WeightTable.from_closed_form`.  Returns
+    ``(inputs, outputs)``: dicts mapping each :class:`Port` to an
+    ``(height, width)`` int64 array indexed ``[y, x]``.
     """
     topology = as_topology(mesh)
     n, m = mesh.width, mesh.height
@@ -115,15 +111,14 @@ def closed_form_count_arrays(
     ones = np.ones((m, n), dtype=np.int64)
     inputs = {
         Port.XPLUS: xs * ones,
-        # The printed forms count one fictitious node beyond the X- edge.
-        Port.XMINUS: (n - (0 if as_printed else 1) - xs) * ones,
+        Port.XMINUS: (n - 1 - xs) * ones,
         Port.YPLUS: n * ys * ones,
         Port.YMINUS: n * (m - 1 - ys) * ones,
         Port.LOCAL: ones.copy(),
     }
     outputs = {
         Port.XPLUS: (xs + 1) * ones,
-        Port.XMINUS: (n - xs + (1 if as_printed else 0)) * ones,
+        Port.XMINUS: (n - xs) * ones,
         Port.YPLUS: n * (ys + 1) * ones,
         Port.YMINUS: n * (m - ys) * ones,
         Port.LOCAL: (n * m - 1) * ones,
@@ -132,26 +127,6 @@ def closed_form_count_arrays(
     if scale != 1:
         inputs = {p: a * scale for p, a in inputs.items()}
         outputs = {p: a * scale for p, a in outputs.items()}
-    return inputs, outputs
-
-
-def weight_count_arrays(
-    table: WeightTable,
-) -> Tuple[Dict[Port, Any], Dict[Port, Any]]:
-    """Extract a :class:`WeightTable`'s counts as ``(height, width)`` arrays.
-
-    Works for any construction path (closed form, flow-derived memory
-    traffic, explicit counts); missing ports read as 0, exactly like
-    :meth:`PortCounts.input_count` / ``output_count``.
-    """
-    mesh = table.mesh
-    inputs = {p: np.zeros((mesh.height, mesh.width), dtype=np.int64) for p in Port}
-    outputs = {p: np.zeros((mesh.height, mesh.width), dtype=np.int64) for p in Port}
-    for router in mesh.nodes():
-        counts = table.counts(router)
-        for port in Port:
-            inputs[port][router.y, router.x] = counts.input_count(port)
-            outputs[port][router.y, router.x] = counts.output_count(port)
     return inputs, outputs
 
 
@@ -178,8 +153,8 @@ def vector_supported(config: NoCConfig) -> Optional[str]:
         return "only XY routing is vectorized"
     if config.is_waw_wap:
         # Conservative per-hop ceiling: every port round is at most the
-        # all-to-all total times the concentration, every input may owe a
-        # full buffer of backlog rounds.
+        # all-to-all total times the concentration, and a full buffer of
+        # rounds per hop is headroom (the kernel charges one round).
         timing = config.timing
         round_ceiling = max(
             1, config.mesh.num_nodes * topology.terminals_per_node
@@ -199,36 +174,24 @@ def vector_supported(config: NoCConfig) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# Route-window helpers (shared by both kernels)
+# Kernels
 # ----------------------------------------------------------------------
 def _suffix_sums(arr):
     """``out[..., j] = sum(arr[..., j:])`` along the last axis."""
     return np.flip(np.cumsum(np.flip(arr, axis=-1), axis=-1), axis=-1)
 
 
-def _suffix_max(arr):
-    """``out[..., j] = max(arr[..., j:])`` along the last axis."""
-    return np.flip(np.maximum.accumulate(np.flip(arr, axis=-1), axis=-1), axis=-1)
-
-
 class VectorWaWWaPAnalysis:
-    """Vectorized WaW+WaP bounds (int64 kernel).
+    """Vectorized WaW+WaP packet bounds (int64 kernel).
 
-    Mirrors :class:`~repro.core.wctt_weighted.WaWWaPWCTTAnalysis`
-    bit-for-bit: same weight defaults (closed-form source counts), same
-    ``max(1, .)`` clamps, same regulated/bursty round accounting, same
-    message slicing.  ``wctt_grid_to(d)`` returns the packet bound of every
-    source towards ``d`` in one shot; ``message_grid_to`` /
-    ``message_grid_from`` add the WaP slice pipeline for whole messages.
+    Mirrors :class:`~repro.core.wctt_weighted.WaWWaPWCTTAnalysis` on its
+    defaults bit-for-bit: closed-form source-count weights, the same
+    ``max(1, .)`` clamp, one arbitration round per hop (regulated
+    contenders).  ``wctt_grid_to(d)`` returns the packet bound of every
+    source towards ``d`` in one shot.
     """
 
-    def __init__(
-        self,
-        config: NoCConfig,
-        weight_table: Optional[WeightTable] = None,
-        *,
-        regulated_contenders: bool = True,
-    ):
+    def __init__(self, config: NoCConfig):
         if not config.is_waw or not config.is_wap:
             raise ValueError(
                 "VectorWaWWaPAnalysis requires a WaW+WaP configuration; "
@@ -240,60 +203,29 @@ class VectorWaWWaPAnalysis:
         self.config = config
         self.mesh: Mesh = config.mesh
         self.topology: Topology = config.topology
-        self.regulated_contenders = regulated_contenders
-        if weight_table is None:
-            counts_in, counts_out = closed_form_count_arrays(config.mesh)
-        else:
-            counts_in, counts_out = weight_count_arrays(weight_table.require_topology(self.topology))
-
+        _, counts_out = closed_form_count_arrays(config.mesh)
         timing = config.timing
-        m = config.min_packet_flits
-        # Flits served by one full arbitration round of each output port.
-        self._round_flits = {p: np.maximum(1, counts_out[p]) for p in Port}
-        # Arbitration rounds a packet arriving on each input port waits.
-        if regulated_contenders:
-            rounds = {p: np.ones_like(counts_in[p]) for p in Port}
-        else:
-            backlog = config.buffer_depth
-            rounds = {}
-            for p in Port:
-                credits = np.maximum(1, counts_in[p])
-                extra = np.maximum(0, -(-backlog // credits) - 1)
-                rounds[p] = 1 + extra
-        self._rounds = rounds
-        #: Cycles one arbitration round of each output port occupies.
-        self._round_cycles = {
-            p: self._round_flits[p] * (m * timing.flit_cycle) for p in Port
+        round_cycles = config.min_packet_flits * timing.flit_cycle
+        #: ``hop_delay`` of every router per output port: pipeline, one full
+        #: arbitration round and the link.  With one round per hop the input
+        #: port does not enter.
+        self._delay = {
+            p: timing.routing_latency
+            + np.maximum(1, counts_out[p]) * round_cycles
+            + (0 if p is Port.LOCAL else timing.link_latency)
+            for p in Port
         }
-        self._rl = timing.routing_latency
-        self._ll = timing.link_latency
-        self._delay_cache: Dict[Tuple[Port, Port], Any] = {}
 
-    # -- per-hop delay matrices ---------------------------------------
-    def _delay(self, in_port: Port, out_port: Port):
-        """``hop_delay(router, in_port, out_port)`` for every router at once."""
-        key = (in_port, out_port)
-        cached = self._delay_cache.get(key)
-        if cached is None:
-            link = 0 if out_port is Port.LOCAL else self._ll
-            cached = (
-                self._rl
-                + self._rounds[in_port] * self._round_cycles[out_port]
-                + link
-            )
-            self._delay_cache[key] = cached
-        return cached
-
-    def _column_out(self, sys_col, dy: int, in_port: Port, dx: int):
-        """Delay of the hop at ``(dx, y)`` entering on ``in_port`` and
-        leaving towards row ``dy`` (``LOCAL`` at ``y == dy``)."""
+    def _column_out(self, sys_col, dy: int, dx: int):
+        """Delay of the hop at ``(dx, y)`` leaving towards row ``dy``
+        (``LOCAL`` at ``y == dy``)."""
         return np.where(
             sys_col < dy,
-            self._delay(in_port, Port.YPLUS)[:, dx],
+            self._delay[Port.YPLUS][:, dx],
             np.where(
                 sys_col > dy,
-                self._delay(in_port, Port.YMINUS)[:, dx],
-                self._delay(in_port, Port.LOCAL)[:, dx],
+                self._delay[Port.YMINUS][:, dx],
+                self._delay[Port.LOCAL][:, dx],
             ),
         )
 
@@ -304,7 +236,6 @@ class VectorWaWWaPAnalysis:
                 f"({self.config.min_packet_flits} flits); got {packet_flits}"
             )
 
-    # -- to-destination kernels ---------------------------------------
     def wctt_grid_to(
         self, destination: Coord, *, packet_flits: Optional[int] = None
     ):
@@ -318,49 +249,42 @@ class VectorWaWWaPAnalysis:
         h, w = self.mesh.height, self.mesh.width
         dx, dy = destination.x, destination.y
         ys = np.arange(h, dtype=np.int64)
+        delay = self._delay
 
         # Column suffix (shared by every source of a row): the hops at
         # (dx, y) strictly between sy and dy plus the ejection hop.
-        up = self._delay(Port.YPLUS, Port.YPLUS)[:, dx]
-        dn = self._delay(Port.YMINUS, Port.YMINUS)[:, dx]
-        cs_up = np.concatenate(([0], np.cumsum(up)))
-        cs_dn = np.concatenate(([0], np.cumsum(dn)))
+        cs_up = np.concatenate(([0], np.cumsum(delay[Port.YPLUS][:, dx])))
+        cs_dn = np.concatenate(([0], np.cumsum(delay[Port.YMINUS][:, dx])))
+        eject = delay[Port.LOCAL][dy, dx]
         col_path = np.where(
             ys < dy,
-            cs_up[dy] - cs_up[np.minimum(ys + 1, dy)]
-            + self._delay(Port.YPLUS, Port.LOCAL)[dy, dx],
+            cs_up[dy] - cs_up[np.minimum(ys + 1, dy)] + eject,
             np.where(
                 ys > dy,
-                cs_dn[np.maximum(ys, dy + 1)] - cs_dn[dy + 1]
-                + self._delay(Port.YMINUS, Port.LOCAL)[dy, dx],
+                cs_dn[np.maximum(ys, dy + 1)] - cs_dn[dy + 1] + eject,
                 0,
             ),
         )
+        # The hop at (dx, sy) that enters the destination column.
+        turn = self._column_out(ys, dy, dx) + col_path
 
         grid = np.zeros((h, w), dtype=np.int64)
 
         # Sources in the destination column inject straight onto it.
-        src_col = self._column_out(ys, dy, Port.LOCAL, dx)
-        grid[:, dx] = np.where(ys != dy, src_col + col_path, 0)
+        grid[:, dx] = np.where(ys != dy, turn, 0)
 
         # Sources left of the destination travel X+ then turn at (dx, sy).
         if dx > 0:
-            xp = self._delay(Port.XPLUS, Port.XPLUS)
+            xp = delay[Port.XPLUS]
             between = np.concatenate(
                 (_suffix_sums(xp[:, 1:dx]), np.zeros((h, 1), dtype=np.int64)),
                 axis=1,
             )  # between[:, sx] = sum of hops at sx+1 .. dx-1
-            turn = self._column_out(ys, dy, Port.XPLUS, dx)
-            left = (
-                self._delay(Port.LOCAL, Port.XPLUS)[:, :dx]
-                + between
-                + (turn + col_path)[:, None]
-            )
-            grid[:, :dx] = left
+            grid[:, :dx] = xp[:, :dx] + between + turn[:, None]
 
         # Sources right of the destination travel X- then turn.
         if dx < w - 1:
-            xm = self._delay(Port.XMINUS, Port.XMINUS)
+            xm = delay[Port.XMINUS]
             between = np.concatenate(
                 (
                     np.zeros((h, 1), dtype=np.int64),
@@ -368,194 +292,8 @@ class VectorWaWWaPAnalysis:
                 ),
                 axis=1,
             )  # between[:, sx - dx - 1] = sum of hops at dx+1 .. sx-1
-            turn = self._column_out(ys, dy, Port.XMINUS, dx)
-            right = (
-                self._delay(Port.LOCAL, Port.XMINUS)[:, dx + 1 :]
-                + between
-                + (turn + col_path)[:, None]
-            )
-            grid[:, dx + 1 :] = right
+            grid[:, dx + 1 :] = xm[:, dx + 1 :] + between + turn[:, None]
         return grid
-
-    def bottleneck_grid_to(self, destination: Coord):
-        """Largest arbitration round (cycles) along every source's route."""
-        self.mesh.require(destination)
-        h, w = self.mesh.height, self.mesh.width
-        dx, dy = destination.x, destination.y
-        ys = np.arange(h, dtype=np.int64)
-
-        # Output-port rounds along the column portion, including the turn
-        # hop's output at (dx, sy) and the ejection round at (dx, dy).
-        col_round = np.where(
-            ys < dy,
-            self._round_cycles[Port.YPLUS][:, dx],
-            np.where(
-                ys > dy,
-                self._round_cycles[Port.YMINUS][:, dx],
-                self._round_cycles[Port.LOCAL][dy, dx],
-            ),
-        )
-        eject = self._round_cycles[Port.LOCAL][dy, dx]
-        if dy > 0:
-            up = np.flip(np.maximum.accumulate(np.flip(col_round[:dy])))
-        if dy < h - 1:
-            dn = np.maximum.accumulate(col_round[dy + 1 :])
-        col_max = np.empty(h, dtype=np.int64)
-        col_max[dy] = eject
-        if dy > 0:
-            col_max[:dy] = np.maximum(up, eject)
-        if dy < h - 1:
-            col_max[dy + 1 :] = np.maximum(dn, eject)
-
-        grid = np.empty((h, w), dtype=np.int64)
-        grid[:, dx] = col_max
-        if dx > 0:
-            row = _suffix_max(self._round_cycles[Port.XPLUS][:, :dx])
-            grid[:, :dx] = np.maximum(row, col_max[:, None])
-        if dx < w - 1:
-            row = np.maximum.accumulate(
-                self._round_cycles[Port.XMINUS][:, dx + 1 :], axis=1
-            )
-            grid[:, dx + 1 :] = np.maximum(row, col_max[:, None])
-        grid[dy, dx] = 0
-        return grid
-
-    def message_grid_to(self, destination: Coord, *, payload_flits: int):
-        """Whole-message WCTT of every source towards ``destination``."""
-        slices = self.config.messages.wap_slices(payload_flits)
-        first = self.wctt_grid_to(destination)
-        if slices == 1:
-            return first
-        return first + (slices - 1) * self.bottleneck_grid_to(destination)
-
-    # -- from-source kernels (UBD reply legs) -------------------------
-    def wctt_grid_from(self, source: Coord):
-        """Packet WCTT from ``source`` to every destination (cell = dest)."""
-        self.mesh.require(source)
-        h, w = self.mesh.height, self.mesh.width
-        sx, sy = source.x, source.y
-        xs = np.arange(w, dtype=np.int64)
-        ys = np.arange(h, dtype=np.int64)
-
-        # Row prefix: source hop plus the X hops strictly before the turn
-        # column, as a function of the destination column dx.
-        row_pre = np.zeros(w, dtype=np.int64)
-        if sx < w - 1:
-            xp = self._delay(Port.XPLUS, Port.XPLUS)[sy]
-            cs = np.concatenate(([0], np.cumsum(xp)))
-            # hops at sx+1 .. dx-1 for dx > sx
-            row_pre[sx + 1 :] = (
-                self._delay(Port.LOCAL, Port.XPLUS)[sy, sx]
-                + cs[np.maximum(xs[sx + 1 :], sx + 1)]
-                - cs[sx + 1]
-            )
-        if sx > 0:
-            xm = self._delay(Port.XMINUS, Port.XMINUS)[sy]
-            cs = np.concatenate(([0], np.cumsum(xm)))
-            # hops at dx+1 .. sx-1 for dx < sx
-            row_pre[:sx] = (
-                self._delay(Port.LOCAL, Port.XMINUS)[sy, sx]
-                + cs[sx]
-                - cs[xs[:sx] + 1]
-            )
-
-        # Turn hop at (dx, sy): input port depends on the travel direction,
-        # output on where the destination row lies.
-        turn = np.zeros((h, w), dtype=np.int64)
-        for in_port, cols in (
-            (Port.XPLUS, slice(sx + 1, w)),
-            (Port.XMINUS, slice(0, sx)),
-            (Port.LOCAL, slice(sx, sx + 1)),
-        ):
-            turn[:, cols] = np.where(
-                (ys < sy)[:, None],
-                self._delay(in_port, Port.YMINUS)[sy, cols][None, :],
-                np.where(
-                    (ys > sy)[:, None],
-                    self._delay(in_port, Port.YPLUS)[sy, cols][None, :],
-                    self._delay(in_port, Port.LOCAL)[sy, cols][None, :],
-                ),
-            )
-
-        # Column tail: hops strictly between sy and dy plus the ejection
-        # hop, per destination column.
-        col_tail = np.zeros((h, w), dtype=np.int64)
-        if sy < h - 1:
-            yp = self._delay(Port.YPLUS, Port.YPLUS)
-            cs = np.concatenate(
-                (np.zeros((1, w), dtype=np.int64), np.cumsum(yp, axis=0))
-            )
-            rows = ys[sy + 1 :]
-            col_tail[sy + 1 :, :] = (
-                cs[np.maximum(rows, sy + 1)] - cs[sy + 1]
-                + self._delay(Port.YPLUS, Port.LOCAL)[sy + 1 :, :]
-            )
-        if sy > 0:
-            ym = self._delay(Port.YMINUS, Port.YMINUS)
-            cs = np.concatenate(
-                (np.zeros((1, w), dtype=np.int64), np.cumsum(ym, axis=0))
-            )
-            rows = ys[:sy]
-            col_tail[:sy, :] = (
-                cs[sy] - cs[rows + 1]
-                + self._delay(Port.YMINUS, Port.LOCAL)[:sy, :]
-            )
-
-        grid = row_pre[None, :] + turn + col_tail
-        grid[sy, sx] = 0
-        return grid
-
-    def bottleneck_grid_from(self, source: Coord):
-        """Largest arbitration round along the route to every destination."""
-        self.mesh.require(source)
-        h, w = self.mesh.height, self.mesh.width
-        sx, sy = source.x, source.y
-        ys = np.arange(h, dtype=np.int64)
-
-        # Rounds of the X+ / X- outputs crossed before the turn column.
-        row_max = np.zeros(w, dtype=np.int64)
-        if sx < w - 1:
-            row_max[sx + 1 :] = np.maximum.accumulate(
-                self._round_cycles[Port.XPLUS][sy, sx : w - 1]
-            )
-        if sx > 0:
-            row_max[:sx] = np.flip(
-                np.maximum.accumulate(
-                    np.flip(self._round_cycles[Port.XMINUS][sy, 1 : sx + 1])
-                )
-            )
-
-        # Rounds of the column outputs from the turn hop (inclusive) to the
-        # ejection round at the destination.
-        col_max = np.zeros((h, w), dtype=np.int64)
-        eject = self._round_cycles[Port.LOCAL]
-        if sy < h - 1:
-            yp = np.maximum.accumulate(
-                self._round_cycles[Port.YPLUS][sy : h - 1, :], axis=0
-            )
-            col_max[sy + 1 :, :] = np.maximum(yp, eject[sy + 1 :, :])
-        if sy > 0:
-            ym = np.flip(
-                np.maximum.accumulate(
-                    np.flip(self._round_cycles[Port.YMINUS][1 : sy + 1, :], axis=0),
-                    axis=0,
-                ),
-                axis=0,
-            )
-            col_max[:sy, :] = np.maximum(ym, eject[:sy, :])
-        col_max[sy, :] = eject[sy, :]
-
-        grid = np.maximum(row_max[None, :], col_max)
-        grid[sy, sx] = 0
-        return grid
-
-    def message_grid_from(self, source: Coord, *, payload_flits: int):
-        """Whole-message WCTT from ``source`` to every destination."""
-        slices = self.config.messages.wap_slices(payload_flits)
-        first = self.wctt_grid_from(source)
-        if slices == 1:
-            return first
-        return first + (slices - 1) * self.bottleneck_grid_from(source)
 
 
 class VectorRegularAnalysis:
@@ -775,50 +513,3 @@ def vector_wctt_summary(config: NoCConfig, *, packet_flits: int = 1) -> WCTTSumm
         flow_count=count,
     )
 
-
-def vector_ubd_entries(
-    config: NoCConfig,
-    *,
-    weight_table: Optional[WeightTable] = None,
-    regulated_contenders: bool = True,
-    service_latency: int = 30,
-) -> Dict[Coord, Any]:
-    """Per-core UBD entries from the vectorized WaW+WaP kernels.
-
-    Vector counterpart of :meth:`repro.core.ubd.UBDTable._build` for
-    WaW+WaP design points: four message grids (request/reply towards and
-    from the memory controller) replace the per-core route walks.  Returns
-    ``{core: UBDEntry}`` in mesh iteration order, bit-identical to the
-    scalar table.
-    """
-    from ..core.ubd import UBDEntry
-
-    analysis = VectorWaWWaPAnalysis(
-        config, weight_table, regulated_contenders=regulated_contenders
-    )
-    mc = config.memory_controller
-    msgs = config.messages
-    request = analysis.message_grid_to(mc, payload_flits=msgs.request_flits)
-    eviction = analysis.message_grid_to(mc, payload_flits=msgs.eviction_flits)
-    reply = analysis.message_grid_from(mc, payload_flits=msgs.reply_flits)
-    eviction_ack = analysis.message_grid_from(
-        mc, payload_flits=msgs.eviction_ack_flits
-    )
-    entries: Dict[Coord, Any] = {}
-    for core in config.mesh.nodes():
-        if core == mc:
-            continue
-        req = int(request[core.y, core.x])
-        rep = int(reply[core.y, core.x])
-        evi = int(eviction[core.y, core.x])
-        ack = int(eviction_ack[core.y, core.x])
-        entries[core] = UBDEntry(
-            core=core,
-            load_ubd=req + service_latency + rep,
-            eviction_ubd=evi + service_latency + ack,
-            request_wctt=req,
-            reply_wctt=rep,
-            eviction_wctt=evi,
-            eviction_ack_wctt=ack,
-        )
-    return entries

@@ -72,12 +72,10 @@ class UBDEntry:
 class UBDTable:
     """Per-core upper bound delays for one NoC design point.
 
-    A table over a WaW+WaP analysis is filled from the vectorized kernels of
-    :mod:`repro.analysis.vector` wherever
-    :func:`~repro.analysis.vector.vector_supported` allows (four message
-    grids replace the per-core route walks) and by the scalar analysis
-    everywhere else; both give bit-identical values
-    (``tests/test_differential_analysis.py``).
+    The table is filled by the analysis it holds, four message bounds per
+    core.  It takes no numpy path: no benchmark workload builds a table, and
+    vectorizing one saved 0-25 ms on quick experiment runs of 10-270 ms
+    (in-process, on a 2-vCPU host).
 
     ``backend`` selects a registered :class:`~repro.analysis.AnalysisBackend`
     by name (``regular``, ``weighted``, ``holistic``, ``trajectory``) to
@@ -133,8 +131,6 @@ class UBDTable:
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        if self._vector_build():
-            return
         mesh = self.config.mesh
         mc = self.config.memory_controller
         msgs = self.config.messages
@@ -157,25 +153,6 @@ class UBDTable:
                 eviction_wctt=eviction,
                 eviction_ack_wctt=eviction_ack,
             )
-
-    def _vector_build(self) -> bool:
-        """Fill the table through the vectorized kernels when applicable."""
-        from .wctt_weighted import WaWWaPWCTTAnalysis
-
-        if not isinstance(self.analysis, WaWWaPWCTTAnalysis):
-            return False
-        # Imported lazily: repro.analysis.vector depends on this module.
-        from ..analysis.vector import vector_supported, vector_ubd_entries
-
-        if vector_supported(self.config) is not None:
-            return False
-        self._entries = vector_ubd_entries(
-            self.config,
-            weight_table=self.analysis.weights,
-            regulated_contenders=self.analysis.regulated_contenders,
-            service_latency=self.memory.service_latency,
-        )
-        return True
 
     # ------------------------------------------------------------------
     def entry(self, core: Coord) -> UBDEntry:

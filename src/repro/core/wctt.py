@@ -9,7 +9,9 @@ paper's pair).  This module provides:
 * :class:`WCTTSummary` / :func:`wctt_summary` -- the max/mean/min statistics
   over a flow set that the paper's Table II reports;
 * :func:`wctt_map` -- the per-source WCTT map towards a single destination
-  (used by the per-core UBD tables and the EEMBC experiment).
+  (used by the per-core UBD tables and the EEMBC experiment);
+* :func:`zero_load_latency` -- the latency with no contention at all, a
+  lower bound of every analysis' WCTT.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "WCTTSummary",
     "wctt_summary",
     "wctt_map",
+    "zero_load_latency",
 ]
 
 
@@ -40,8 +43,6 @@ class WCTTAnalysis(Protocol):
     ) -> int: ...
 
     def wctt_message(self, source: Coord, destination: Coord, *, payload_flits: int) -> int: ...
-
-    def zero_load_latency(self, source: Coord, destination: Coord, packet_flits: int = 1) -> int: ...
 
 
 @dataclass(frozen=True)
@@ -115,3 +116,20 @@ def wctt_map(
         for src in mesh.nodes()
         if src != destination
     }
+
+
+def zero_load_latency(
+    config: NoCConfig, source: Coord, destination: Coord, packet_flits: int = 1
+) -> int:
+    """Latency of one packet with no contention at all (lower bound).
+
+    The router pipeline at every hop of the route, the links between the
+    hops and the packet's own serialization.
+    """
+    hops = len(config.topology.route(source, destination))
+    timing = config.timing
+    return (
+        hops * timing.routing_latency
+        + (hops - 1) * timing.link_latency
+        + packet_flits * timing.flit_cycle
+    )

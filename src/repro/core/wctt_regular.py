@@ -48,16 +48,65 @@ evaluation relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..geometry import Coord, Mesh, Port
-from ..topology.base import Hop
-from .config import NoCConfig
+from .config import NoCConfig, RouterTiming
 
-__all__ = ["RegularMeshWCTTAnalysis", "ServiceTimeBreakdown", "CONTENDER_POLICIES"]
+__all__ = [
+    "RegularMeshWCTTAnalysis",
+    "ServiceTimeBreakdown",
+    "CONTENDER_POLICIES",
+    "merging_service_times",
+    "busy_period_wctt",
+]
 
 #: Supported contender downstream-routing assumptions.
 CONTENDER_POLICIES = ("merging", "any_direction")
+
+
+def merging_service_times(
+    timing: RouterTiming, contender_flits: int, contenders: Sequence[int]
+) -> List[int]:
+    """Worst occupancy of each route hop's output port by one contending packet.
+
+    ``contenders[i]`` is the number of inputs (ours included) that may
+    request the output port of the route's hop ``i``.  Under the ``merging``
+    policy a contender that wins hop ``i``'s port follows the rest of the
+    route, so it holds the port until it has won hop ``i + 1``'s port
+    against that hop's contenders, each holding it for its own service time.
+    The ejection hop drains a ``contender_flits`` packet at link rate.
+    """
+    serialization = contender_flits * timing.flit_cycle
+    services = [0] * len(contenders)
+    services[-1] = serialization
+    for i in range(len(contenders) - 2, -1, -1):
+        occupancy = timing.routing_latency + contenders[i + 1] * services[i + 1]
+        services[i] = max(serialization, occupancy) + timing.link_latency
+    return services
+
+
+def busy_period_wctt(
+    timing: RouterTiming,
+    own_flits: int,
+    contenders: Sequence[int],
+    services: Sequence[int],
+) -> int:
+    """WCTT of an ``own_flits`` packet from its route's per-hop contention.
+
+    At every hop the packet waits for one grant to each other contender of
+    the hop's output port (round-robin), each holding the port for
+    ``services[i]``.  The route is walked backwards, accumulating the
+    packet's worst-case progress from each hop's grant to full ejection.
+    """
+    own_serialization = own_flits * timing.flit_cycle
+    progress_after = own_serialization  # after the last (ejection) grant
+    for i in range(len(contenders) - 1, 0, -1):
+        wait = (contenders[i] - 1) * services[i]
+        stage = timing.link_latency + timing.routing_latency + wait + progress_after
+        progress_after = max(own_serialization, stage)
+    injection_wait = (contenders[0] - 1) * services[0]
+    return timing.routing_latency + injection_wait + progress_after
 
 
 @dataclass(frozen=True)
@@ -130,10 +179,6 @@ class RegularMeshWCTTAnalysis:
         """Number of input ports that may request ``out_port`` (incl. ours)."""
         return len(self.topology.legal_inputs_for_output(router, out_port))
 
-    @property
-    def _serialization(self) -> int:
-        return self.contender_packet_flits * self.config.timing.flit_cycle
-
     # ------------------------------------------------------------------
     # Worst-case per-packet service time of an output port
     # ------------------------------------------------------------------
@@ -145,7 +190,7 @@ class RegularMeshWCTTAnalysis:
             return cached
 
         timing = self.config.timing
-        serialization = self._serialization
+        serialization = self.contender_packet_flits * timing.flit_cycle
 
         if out_port is Port.LOCAL:
             value = serialization
@@ -178,31 +223,6 @@ class RegularMeshWCTTAnalysis:
         self.service_time_any_direction(router, out_port)
         return self._breakdowns[(router, out_port)]
 
-    def _route_service_times(self, route: List[Hop]) -> List[int]:
-        """Per-hop output-port service times along a specific route.
-
-        Index ``i`` is the worst-case occupancy of ``route[i].out_port`` by
-        one contending packet.  Under the ``merging`` policy the contender is
-        assumed to follow the remainder of the route; under ``any_direction``
-        the destination-agnostic memoised recursion is used instead.
-        """
-        timing = self.config.timing
-        serialization = self._serialization
-        if self.contender_policy == "any_direction":
-            return [
-                self.service_time_any_direction(hop.router, hop.out_port) for hop in route
-            ]
-
-        services = [0] * len(route)
-        # Ejection hop: the destination drains the packet at link rate.
-        services[-1] = serialization
-        for i in range(len(route) - 2, -1, -1):
-            next_hop = route[i + 1]
-            contenders = self.contender_count(next_hop.router, next_hop.out_port)
-            occupancy = timing.routing_latency + contenders * services[i + 1]
-            services[i] = max(serialization, occupancy) + timing.link_latency
-        return services
-
     # ------------------------------------------------------------------
     # Worst-case traversal time of a packet along its own route
     # ------------------------------------------------------------------
@@ -225,23 +245,16 @@ class RegularMeshWCTTAnalysis:
 
         timing = self.config.timing
         route = self.topology.route(source, destination)
-        services = self._route_service_times(route)
-        own_serialization = own_flits * timing.flit_cycle
-
-        # Walk the route backwards accumulating the packet's own worst-case
-        # progress time from each hop's grant to full ejection.
-        progress_after: int = own_serialization  # after the last (ejection) grant
-        for i in range(len(route) - 1, 0, -1):
-            hop = route[i]
-            contenders = self.contender_count(hop.router, hop.out_port)
-            wait = (contenders - 1) * services[i]
-            stage = timing.link_latency + timing.routing_latency + wait + progress_after
-            progress_after = max(own_serialization, stage)
-
-        first = route[0]
-        contenders = self.contender_count(first.router, first.out_port)
-        injection_wait = (contenders - 1) * services[0]
-        return timing.routing_latency + injection_wait + progress_after
+        contenders = [self.contender_count(hop.router, hop.out_port) for hop in route]
+        if self.contender_policy == "any_direction":
+            services = [
+                self.service_time_any_direction(hop.router, hop.out_port) for hop in route
+            ]
+        else:
+            services = merging_service_times(
+                timing, self.contender_packet_flits, contenders
+            )
+        return busy_period_wctt(timing, own_flits, contenders, services)
 
     def wctt_message(
         self, source: Coord, destination: Coord, *, payload_flits: int
@@ -263,20 +276,3 @@ class RegularMeshWCTTAnalysis:
         if rest:
             total += self.wctt_packet(source, destination, packet_flits=rest)
         return total
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def zero_load_latency(self, source: Coord, destination: Coord, packet_flits: int = 1) -> int:
-        """Latency with no contention at all (lower bound, used by tests)."""
-        route = self.topology.route(source, destination)
-        timing = self.config.timing
-        hops = len(route)
-        return (
-            hops * timing.routing_latency
-            + (hops - 1) * timing.link_latency
-            + packet_flits * timing.flit_cycle
-        )
-
-    def route(self, source: Coord, destination: Coord) -> List[Hop]:
-        return self.topology.route(source, destination)

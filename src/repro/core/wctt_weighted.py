@@ -30,12 +30,36 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..geometry import Coord, Mesh, Port
-from ..topology.base import Hop
 from .config import NoCConfig
 from .flows import FlowSet
 from .weights import WeightTable
 
-__all__ = ["WaWWaPWCTTAnalysis", "HopDelayBreakdown"]
+__all__ = ["WaWWaPWCTTAnalysis", "HopDelayBreakdown", "waw_hop_delay"]
+
+
+def waw_hop_delay(
+    config: NoCConfig, out_port: Port, round_slots: int, input_slots: Optional[int] = None
+) -> int:
+    """Worst-case cycles for a minimum-size packet to cross one WaW+WaP hop.
+
+    The router pipeline, full arbitration rounds of the output port of
+    ``round_slots`` minimum-size packets each, and the link (none on
+    ejection).  Regulated contenders leave one round's worth of backlog
+    ahead of the packet, so one round is charged.  With ``input_slots``,
+    the slots the packet's own input owns per round, the charge is
+    burst-safe: non-conforming upstream flows may have filled the input
+    buffer ahead of the packet, and draining that ``buffer_depth`` backlog
+    takes the input's slots of further rounds.
+    """
+    timing = config.timing
+    rounds = 1
+    if input_slots is not None:
+        rounds += max(0, -(-config.buffer_depth // input_slots) - 1)
+    return (
+        timing.routing_latency
+        + rounds * round_slots * config.min_packet_flits * timing.flit_cycle
+        + (0 if out_port is Port.LOCAL else timing.link_latency)
+    )
 
 
 @dataclass(frozen=True)
@@ -128,29 +152,18 @@ class WaWWaPWCTTAnalysis:
     def hop_delay(self, router: Coord, in_port: Port, out_port: Port) -> int:
         """Worst-case cycles for a minimum-size packet to cross one hop.
 
-        Covers the router pipeline, one full arbitration round of the output
-        port (every slot of every input, including the backlog of flows
-        sharing the packet's own input port) and the link traversal.
+        :func:`waw_hop_delay` over the port's full weighted round (every slot
+        of every input), burst-safe when contenders are not regulated.
         """
         key = (router, in_port, out_port)
         cached = self._hop_cache.get(key)
         if cached is not None:
             return cached
-        timing = self.config.timing
-        m = self.config.min_packet_flits
-        round_flits = self.round_flits(router, out_port)
-        rounds = 1
+        input_slots = None
         if not self.regulated_contenders:
-            # Non-conforming upstream flows may have filled the packet's own
-            # input buffer ahead of it; draining that backlog consumes the
-            # input's guaranteed slots of additional arbitration rounds.
-            input_weight = max(1, self.weights.input_credits(router, in_port))
-            backlog_slots = self.config.buffer_depth
-            rounds += max(0, -(-backlog_slots // input_weight) - 1)
-        delay = (
-            timing.routing_latency
-            + rounds * round_flits * m * timing.flit_cycle
-            + (0 if out_port is Port.LOCAL else timing.link_latency)
+            input_slots = max(1, self.weights.input_credits(router, in_port))
+        delay = waw_hop_delay(
+            self.config, out_port, self.round_flits(router, out_port), input_slots
         )
         self._hop_cache[key] = delay
         return delay
@@ -224,20 +237,3 @@ class WaWWaPWCTTAnalysis:
         if slices == 1:
             return first
         return first + (slices - 1) * self.bottleneck_round(source, destination)
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def zero_load_latency(self, source: Coord, destination: Coord, packet_flits: int = 1) -> int:
-        """Latency with no contention at all (lower bound, used by tests)."""
-        route = self.topology.route(source, destination)
-        timing = self.config.timing
-        hops = len(route)
-        return (
-            hops * timing.routing_latency
-            + (hops - 1) * timing.link_latency
-            + packet_flits * timing.flit_cycle
-        )
-
-    def route(self, source: Coord, destination: Coord) -> List[Hop]:
-        return self.topology.route(source, destination)

@@ -108,6 +108,12 @@ class AdversarialCongestionTraffic:
     contention assumption of the analytical models as closely as a real
     (finite-buffer) network allows.  Probe messages of the victim flow are
     injected at a low rate and their latencies recorded.
+
+    A probe is due at every multiple of ``probe_period`` and is sent only
+    once the previous probe has arrived (a due probe is skipped otherwise).
+    An ungated probe would queue behind the victim's own earlier probes
+    whenever a latency exceeds the period, measuring the harness instead of
+    the network.
     """
 
     mesh: Mesh
@@ -176,7 +182,9 @@ class AdversarialCongestionTraffic:
                     )
                     live.append(msg)
                     background.append(msg)
-            if cycle % self.probe_period == 0:
+            if cycle % self.probe_period == 0 and (
+                not probes or probes[-1].completion_cycle is not None
+            ):
                 probes.append(
                     network.send(
                         self.victim_source,

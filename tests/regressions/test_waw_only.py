@@ -9,11 +9,9 @@ backends' burst-safe bounds (77) hold.  That is why every path that serves
 the paper's bound refuses WaW-only designs
 (``tests/test_analysis_backends.py::TestWaWOnlyRefused``).
 
-* A *windowed source* keeps ``w`` messages of ``p`` flits outstanding
-  towards the destination from its start cycle on.
-* The probes are *gated*: each is sent after the previous one has arrived.
-* The WaW arbiters run the destination's all-to-one weight table, as
-  ``repro.analysis.validation.check_bounds`` configures them.
+The adversary is ``windowed.py``'s: windowed sources and gated probes.  The
+WaW arbiters run the destination's all-to-one weight table, as
+``repro.analysis.validation.check_bounds`` configures them.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from repro.api.scenario import Scenario
 from repro.core import FlowSet, RegularMeshWCTTAnalysis, WeightTable
 from repro.geometry import Coord
 from repro.noc.network import Network
+from windowed import probe_latencies
 
 MC = Coord(0, 0)
 PROBE = Coord(2, 0)
@@ -51,20 +50,7 @@ def _weights(config):
 def _probe_latencies():
     config = _config()
     network = Network(config, weight_table=_weights(config))
-    live = {source: [] for source in SOURCES}
-    probes = []
-    while len(probes) < len(PROBE_CYCLES) or probes[-1].completion_cycle is None:
-        cycle = network.cycle
-        for source, (start, window, flits) in SOURCES.items():
-            if cycle >= start:
-                live[source] = [m for m in live[source] if m.completion_cycle is None]
-                while len(live[source]) < window:
-                    live[source].append(network.send(source, MC, flits, kind="background"))
-        if cycle in PROBE_CYCLES:
-            assert not probes or probes[-1].completion_cycle is not None, "probe not gated"
-            probes.append(network.send(PROBE, MC, PROBE_FLITS, kind="probe"))
-        network.step()
-    return [probe.network_latency for probe in probes]
+    return probe_latencies(network, MC, SOURCES, PROBE, PROBE_FLITS, PROBE_CYCLES)
 
 
 def test_a_probe_exceeds_the_regular_bound_on_a_waw_only_mesh():

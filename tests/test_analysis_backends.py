@@ -33,6 +33,7 @@ from repro.core import (
     regular_mesh_config,
     waw_wap_config,
 )
+from repro.core.wctt import zero_load_latency
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.experiments import scenario_wctt
 from repro.experiments.runner import main
@@ -260,8 +261,8 @@ class TestFlowAwareAnalyses:
                 for node in config.mesh.nodes():
                     if node == dst:
                         continue
-                    assert analysis.wctt_packet(node, dst) >= analysis.zero_load_latency(
-                        node, dst
+                    assert analysis.wctt_packet(node, dst) >= zero_load_latency(
+                        config, node, dst
                     )
 
     def test_topology_generic_on_torus_and_cmesh(self):
@@ -270,8 +271,8 @@ class TestFlowAwareAnalyses:
             analysis = HolisticAnalysis(config)
             dst = config.memory_controller
             victim = Coord(2, 2)
-            assert analysis.wctt_packet(victim, dst) >= analysis.zero_load_latency(
-                victim, dst
+            assert analysis.wctt_packet(victim, dst) >= zero_load_latency(
+                config, victim, dst
             )
 
     def test_flows_outside_the_set_are_refused(self):

@@ -6,31 +6,26 @@ its python ints, the vector side an exact ``divmod`` rule, and the two must
 agree in value and in type -- an ``int`` when the mean is whole): the numpy
 kernels are a pure performance feature and must never change a single
 bound.  This file sweeps a wide grid of design points and asserts exact
-equality on every surface the engine exposes -- packet maps, message grids
-in both directions, all-to-one summaries, UBD tables and the
-``scenario_wctt`` experiment wiring.
+equality on every surface the engine exposes -- count matrices, packet
+maps, all-to-one summaries and the ``scenario_wctt`` experiment wiring.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.analysis import vector
 from repro.analysis.vector import (
     VectorRegularAnalysis,
     VectorWaWWaPAnalysis,
     closed_form_count_arrays,
     make_vector_analysis,
     vector_supported,
-    vector_ubd_entries,
     vector_wctt_map,
     vector_wctt_summary,
-    weight_count_arrays,
 )
 from repro.api.results import unwrap
 from repro.api.scenario import Scenario, sweep
@@ -44,7 +39,6 @@ from repro.core import (
     wctt_summary,
 )
 from repro.core.config import RouterTiming
-from repro.core.ubd import MemoryTiming
 from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.analysis.backends import make_analysis_backend
@@ -56,15 +50,6 @@ MESHES = [(2, 2), (3, 3), (4, 4), (5, 3), (3, 5), (1, 5), (5, 1)]
 CONFIG_FNS = {"regular": regular_mesh_config, "waw_wap": waw_wap_config}
 #: The scalar reference: the paper's analysis of a design point.
 paper_analysis = make_analysis_backend(None).analysis
-
-
-@contextlib.contextmanager
-def _scalar_only(monkeypatch):
-    """Context in which ``vector_supported`` refuses every design point, so
-    every auto-wired path takes the scalar reference."""
-    with monkeypatch.context() as patch:
-        patch.setattr(vector, "vector_supported", lambda config: "refused by the test")
-        yield
 
 
 def _destinations(mesh: Mesh):
@@ -79,25 +64,25 @@ def _destinations(mesh: Mesh):
 
 
 class TestCountArrays:
-    @pytest.mark.parametrize("width,height", MESHES)
-    @pytest.mark.parametrize("as_printed", [False, True])
-    def test_closed_forms_match_weight_table(self, width, height, as_printed):
-        mesh = Mesh(width, height)
-        table = WeightTable.from_closed_form(mesh, as_printed=as_printed)
-        vec_in, vec_out = closed_form_count_arrays(mesh, as_printed=as_printed)
-        tab_in, tab_out = weight_count_arrays(table)
-        for port in Port:
-            assert (vec_in[port] == tab_in[port]).all(), (port, "in")
-            assert (vec_out[port] == tab_out[port]).all(), (port, "out")
+    """The closed-form count matrices hold the closed-form table's counts."""
 
-    def test_cmesh_scaling_matches_weight_table(self):
-        mesh = ConcentratedMesh(3, 3, concentration=4)
+    @staticmethod
+    def _assert_match_weight_table(mesh):
         table = WeightTable.from_closed_form(mesh)
         vec_in, vec_out = closed_form_count_arrays(mesh)
-        tab_in, tab_out = weight_count_arrays(table)
-        for port in Port:
-            assert (vec_in[port] == tab_in[port]).all()
-            assert (vec_out[port] == tab_out[port]).all()
+        for router in mesh.nodes():
+            counts = table.counts(router)
+            for port in Port:
+                cell = (router.y, router.x)
+                assert vec_in[port][cell] == counts.input_count(port), (router, port)
+                assert vec_out[port][cell] == counts.output_count(port), (router, port)
+
+    @pytest.mark.parametrize("width,height", MESHES)
+    def test_closed_forms_match_weight_table(self, width, height):
+        self._assert_match_weight_table(Mesh(width, height))
+
+    def test_cmesh_scaling_matches_weight_table(self):
+        self._assert_match_weight_table(ConcentratedMesh(3, 3, concentration=4))
 
 
 class TestPacketMaps:
@@ -112,21 +97,6 @@ class TestPacketMaps:
                 assert vector_wctt_map(
                     vector, destination, packet_flits=packet_flits
                 ) == wctt_map(scalar, destination, packet_flits=packet_flits)
-
-    @pytest.mark.parametrize("buffer_depth", [1, 4, 9])
-    def test_unregulated_contenders_bit_identical(self, buffer_depth):
-        config = waw_wap_config(4, 3, buffer_depth=buffer_depth)
-        scalar = WaWWaPWCTTAnalysis(config, regulated_contenders=False)
-        vector = VectorWaWWaPAnalysis(config, regulated_contenders=False)
-        for destination in _destinations(config.mesh):
-            assert vector_wctt_map(vector, destination) == wctt_map(scalar, destination)
-
-    def test_memory_traffic_weights_bit_identical(self):
-        config = waw_wap_config(4, 4)
-        scalar = WaWWaPWCTTAnalysis.for_memory_traffic(config)
-        vector = VectorWaWWaPAnalysis(config, scalar.weights)
-        mc = config.memory_controller
-        assert vector_wctt_map(vector, mc) == wctt_map(scalar, mc)
 
     def test_nondefault_timing_bit_identical(self):
         timing = RouterTiming(routing_latency=3, link_latency=2, flit_cycle=2)
@@ -149,26 +119,6 @@ class TestPacketMaps:
         vector = make_vector_analysis(config)
         for destination in _destinations(config.mesh):
             assert vector_wctt_map(vector, destination) == wctt_map(scalar, destination)
-
-
-class TestMessageGrids:
-    @pytest.mark.parametrize("payload", [1, 2, 4, 7, 16])
-    def test_waw_message_to_and_from(self, payload):
-        config = waw_wap_config(4, 3)
-        scalar = paper_analysis(config)
-        vector = make_vector_analysis(config)
-        mc = config.memory_controller
-        to_grid = vector.message_grid_to(mc, payload_flits=payload)
-        from_grid = vector.message_grid_from(mc, payload_flits=payload)
-        for node in config.mesh.nodes():
-            if node == mc:
-                continue
-            assert int(to_grid[node.y, node.x]) == scalar.wctt_message(
-                node, mc, payload_flits=payload
-            )
-            assert int(from_grid[node.y, node.x]) == scalar.wctt_message(
-                mc, node, payload_flits=payload
-            )
 
 
 class TestSummaries:
@@ -195,43 +145,6 @@ class TestSummaries:
             round(summary.average, 2),
             summary.minimum,
         )
-
-
-class TestUBDTables:
-    @pytest.mark.parametrize("width,height", [(2, 2), (4, 4), (5, 3)])
-    def test_auto_equals_scalar_engine(self, width, height, monkeypatch):
-        config = waw_wap_config(width, height)
-        auto = UBDTable(config)
-        with _scalar_only(monkeypatch):
-            scalar = UBDTable(config)
-        assert auto.as_dict() == scalar.as_dict()
-
-    def test_vector_entries_match_scalar_build(self, monkeypatch):
-        config = waw_wap_config(4, 4)
-        with _scalar_only(monkeypatch):
-            scalar = UBDTable(config)
-        analysis = WaWWaPWCTTAnalysis.for_memory_traffic(config)
-        entries = vector_ubd_entries(
-            config,
-            weight_table=analysis.weights,
-            regulated_contenders=analysis.regulated_contenders,
-            service_latency=MemoryTiming().service_latency,
-        )
-        assert entries == scalar.as_dict()
-
-    def test_regular_design_still_scalar(self, monkeypatch):
-        # The auto path only applies to WaW+WaP analyses; a regular design
-        # must keep producing the reference table.
-        config = regular_mesh_config(3, 3)
-        with _scalar_only(monkeypatch):
-            scalar = UBDTable(config)
-        assert UBDTable(config).as_dict() == scalar.as_dict()
-
-    def test_unsupported_topology_falls_back(self, monkeypatch):
-        config = Scenario.mesh(4).waw_wap().topology("torus").build()
-        with _scalar_only(monkeypatch):
-            scalar = UBDTable(config)
-        assert UBDTable(config).as_dict() == scalar.as_dict()
 
 
 class TestExperimentWiring:

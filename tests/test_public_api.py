@@ -11,7 +11,7 @@ import repro
 
 class TestPackageSurface:
     def test_version(self):
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "1.11.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:

@@ -1,10 +1,9 @@
 """Edge cases and property tests for :mod:`repro.analysis.vector`.
 
 Complements ``tests/test_differential_analysis.py`` (the fixed wide grid)
-with degenerate shapes -- single-row/column meshes, single-flow weight
-tables with zero-weight ports, unregulated contenders -- plus
-and hypothesis-driven scalar-vs-vector equivalence over random design
-points.
+with degenerate shapes -- single-row/column meshes, one- and two-node
+meshes -- and hypothesis-driven scalar-vs-vector equivalence over random
+design points.
 """
 
 from __future__ import annotations
@@ -17,21 +16,18 @@ np = pytest.importorskip("numpy")
 
 from repro.analysis.backends import make_analysis_backend
 from repro.analysis.vector import (
-    VectorWaWWaPAnalysis,
     make_vector_analysis,
     vector_wctt_map,
     vector_wctt_summary,
 )
 from repro.core import (
     FlowSet,
-    WeightTable,
     regular_mesh_config,
     waw_wap_config,
     wctt_map,
     wctt_summary,
 )
-from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
-from repro.geometry import Coord, Mesh
+from repro.geometry import Coord
 
 CONFIG_FNS = {"regular": regular_mesh_config, "waw_wap": waw_wap_config}
 
@@ -60,28 +56,6 @@ class TestDegenerateShapes:
         assert summary == wctt_summary(make_analysis_backend(None).analysis(config), flows)
 
 
-class TestZeroWeightPorts:
-    def test_single_flow_weight_table(self):
-        """A one-flow table leaves most ports at weight 0 (clamped to 1)."""
-        config = waw_wap_config(3, 3)
-        mesh = config.mesh
-        flows = FlowSet.from_pairs(mesh, [(Coord(2, 2), Coord(0, 0))])
-        table = WeightTable.from_flow_set(flows)
-        scalar = WaWWaPWCTTAnalysis(config, table)
-        vector = VectorWaWWaPAnalysis(config, table)
-        for destination in (Coord(0, 0), Coord(1, 1), Coord(2, 0)):
-            assert vector_wctt_map(vector, destination) == wctt_map(scalar, destination)
-
-    def test_single_flow_unregulated(self):
-        config = waw_wap_config(3, 3, buffer_depth=6)
-        flows = FlowSet.from_pairs(config.mesh, [(Coord(0, 2), Coord(2, 0))])
-        table = WeightTable.from_flow_set(flows)
-        scalar = WaWWaPWCTTAnalysis(config, table, regulated_contenders=False)
-        vector = VectorWaWWaPAnalysis(config, table, regulated_contenders=False)
-        for destination in (Coord(2, 0), Coord(0, 0)):
-            assert vector_wctt_map(vector, destination) == wctt_map(scalar, destination)
-
-
 class TestProperties:
     @given(
         width=st.integers(1, 6),
@@ -102,32 +76,6 @@ class TestProperties:
         scalar = make_analysis_backend(None).analysis(config)
         vector = make_vector_analysis(config)
         assert vector_wctt_map(vector, destination) == wctt_map(scalar, destination)
-
-    @given(
-        width=st.integers(2, 5),
-        height=st.integers(2, 5),
-        payload=st.integers(1, 12),
-        regulated=st.booleans(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_random_waw_messages_both_directions(
-        self, width, height, payload, regulated
-    ):
-        config = waw_wap_config(width, height)
-        scalar = WaWWaPWCTTAnalysis(config, regulated_contenders=regulated)
-        vector = VectorWaWWaPAnalysis(config, regulated_contenders=regulated)
-        mc = config.memory_controller
-        to_grid = vector.message_grid_to(mc, payload_flits=payload)
-        from_grid = vector.message_grid_from(mc, payload_flits=payload)
-        for node in config.mesh.nodes():
-            if node == mc:
-                continue
-            assert int(to_grid[node.y, node.x]) == scalar.wctt_message(
-                node, mc, payload_flits=payload
-            )
-            assert int(from_grid[node.y, node.x]) == scalar.wctt_message(
-                mc, node, payload_flits=payload
-            )
 
     def test_waw_packet_size_validation_matches_scalar(self):
         config = waw_wap_config(3, 3)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import RouterTiming, regular_mesh_config
 from repro.core.flows import FlowSet
-from repro.core.wctt import wctt_summary
+from repro.core.wctt import wctt_summary, zero_load_latency
 from repro.core.wctt_regular import CONTENDER_POLICIES, RegularMeshWCTTAnalysis
 from repro.geometry import Coord, Mesh, Port
 
@@ -46,7 +46,7 @@ class TestBasicProperties:
         a = analysis_for(6, flits=4)
         for src in [Coord(1, 0), Coord(3, 3), Coord(5, 5)]:
             wctt = a.wctt_packet(src, Coord(0, 0), packet_flits=1)
-            assert wctt > a.zero_load_latency(src, Coord(0, 0), packet_flits=1)
+            assert wctt > zero_load_latency(a.config, src, Coord(0, 0), packet_flits=1)
 
     def test_wctt_positive_and_deterministic(self):
         a = analysis_for(5)

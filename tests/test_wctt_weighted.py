@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.backends import make_analysis_backend
 from repro.core.config import regular_mesh_config, waw_wap_config
 from repro.core.flows import FlowSet
-from repro.core.wctt import wctt_map, wctt_summary
+from repro.core.wctt import wctt_map, wctt_summary, zero_load_latency
 from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.core.weights import WeightTable
@@ -50,7 +50,7 @@ class TestPacketBounds:
     def test_bound_exceeds_zero_load(self):
         a = memory_analysis(8)
         for src in [Coord(1, 0), Coord(4, 4), Coord(7, 7)]:
-            assert a.wctt_packet(src, Coord(0, 0)) > a.zero_load_latency(src, Coord(0, 0))
+            assert a.wctt_packet(src, Coord(0, 0)) > zero_load_latency(a.config, src, Coord(0, 0))
 
     def test_bound_is_sum_of_hop_delays(self):
         a = memory_analysis(4)
@@ -120,7 +120,8 @@ class TestMessageBounds:
     def test_bottleneck_round_is_largest_port_round(self):
         a = memory_analysis(8)
         src, dst = Coord(7, 7), Coord(0, 0)
-        rounds = [a.round_flits(h.router, h.out_port) for h in a.route(src, dst)]
+        route = a.config.topology.route(src, dst)
+        rounds = [a.round_flits(h.router, h.out_port) for h in route]
         assert a.bottleneck_round(src, dst) == max(rounds)
 
     def test_message_bound_grows_with_payload(self):

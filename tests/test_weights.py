@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import vector
 from repro.analysis.flowaware import HolisticAnalysis
 from repro.api import Scenario
 from repro.core.flows import FlowSet
@@ -275,7 +274,6 @@ _CONSUMERS = {
     "system": lambda config, table: ManycoreSystem(config, weight_table=table),
     "weighted": WaWWaPWCTTAnalysis,
     "flow-aware": lambda config, table: HolisticAnalysis(config, weight_table=table),
-    "vector": vector.VectorWaWWaPAnalysis,
 }
 
 #: (configured structure, table's structure, their labels in the error).
@@ -301,12 +299,6 @@ def _waw_wap_config(width, kind="mesh", routing="xy"):
     return Scenario.mesh(width).topology(kind, routing=routing).waw_wap().build()
 
 
-def _consume(consumer, config, table):
-    if consumer == "vector" and not vector.HAS_NUMPY:
-        pytest.skip("numpy is not installed")
-    _CONSUMERS[consumer](config, table)
-
-
 class TestWeightTableTopology:
     """A table holds the counts and contenders of the topology it was built
     on; every consumer that stores a caller's table refuses another
@@ -319,7 +311,7 @@ class TestWeightTableTopology:
         config = _waw_wap_config(**configured)
         table = WeightTable.from_closed_form(_waw_wap_config(**built_for).topology)
         with pytest.raises(ValueError) as excinfo:
-            _consume(consumer, config, table)
+            _CONSUMERS[consumer](config, table)
         message = str(excinfo.value)
         assert table_label in message and config_label in message, message
 
@@ -329,7 +321,7 @@ class TestWeightTableTopology:
         XY ``Mesh2D`` (and the other way round)."""
         config = Scenario.mesh(4).waw_wap().build()
         for mesh in (Mesh(4, 4), _waw_wap_config(4).topology):
-            _consume(consumer, config, WeightTable.from_closed_form(mesh))
+            _CONSUMERS[consumer](config, WeightTable.from_closed_form(mesh))
 
     def test_require_topology_returns_the_table(self):
         config = _waw_wap_config(4, kind="torus")
