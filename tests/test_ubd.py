@@ -5,10 +5,32 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.backends import make_analysis_backend
+from repro.api import Scenario
 from repro.core.config import regular_mesh_config, waw_wap_config
-from repro.core.ubd import MemoryTiming, UBDTable
+from repro.core.ubd import MemoryTiming, UBDEntry, UBDTable
+from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.geometry import Coord
+
+
+def assert_entries_from(table, analysis):
+    """Every entry holds ``analysis``' four message bounds of its core."""
+    config = table.config
+    mc, msgs = config.memory_controller, config.messages
+    service = table.memory.service_latency
+    expected = {}
+    for core in config.mesh.nodes():
+        if core == mc:
+            continue
+        request = analysis.wctt_message(core, mc, payload_flits=msgs.request_flits)
+        reply = analysis.wctt_message(mc, core, payload_flits=msgs.reply_flits)
+        eviction = analysis.wctt_message(core, mc, payload_flits=msgs.eviction_flits)
+        ack = analysis.wctt_message(mc, core, payload_flits=msgs.eviction_ack_flits)
+        expected[core] = UBDEntry(
+            core, request + service + reply, eviction + service + ack,
+            request, reply, eviction, ack,
+        )
+    assert table.as_dict() == expected
 
 
 class TestMemoryTiming:
@@ -96,3 +118,21 @@ class TestUBDTableWaW:
         analysis = WaWWaPWCTTAnalysis(config)
         table = UBDTable(config, analysis=analysis)
         assert table.analysis is analysis
+
+
+class TestUBDTableBuild:
+    """A table is filled by the paper's analysis of its design point, over
+    the weights of the request/reply memory traffic on WaW designs."""
+
+    @pytest.mark.parametrize("width,height", [(2, 2), (4, 4), (5, 3)])
+    def test_waw_entries_are_memory_traffic_bounds(self, width, height):
+        config = waw_wap_config(width, height)
+        assert_entries_from(UBDTable(config), WaWWaPWCTTAnalysis.for_memory_traffic(config))
+
+    def test_regular_entries_are_regular_bounds(self):
+        config = regular_mesh_config(3, 3)
+        assert_entries_from(UBDTable(config), RegularMeshWCTTAnalysis(config))
+
+    def test_torus_entries_are_memory_traffic_bounds(self):
+        config = Scenario.mesh(4).waw_wap().topology("torus").build()
+        assert_entries_from(UBDTable(config), WaWWaPWCTTAnalysis.for_memory_traffic(config))

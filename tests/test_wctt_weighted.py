@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.backends import make_analysis_backend
 from repro.core.config import regular_mesh_config, waw_wap_config
@@ -18,6 +22,52 @@ def memory_analysis(size: int, *, flits: int = 1) -> WaWWaPWCTTAnalysis:
     return WaWWaPWCTTAnalysis.for_memory_traffic(
         waw_wap_config(size, max_packet_flits=flits), include_replies=False
     )
+
+
+def hop_charge(config, out_port: Port, round_slots: int, rounds: int = 1) -> int:
+    """The paper's hop charge written out: pipeline, ``rounds`` full rounds
+    of ``round_slots`` minimum-size packets, then the link (none on
+    ejection)."""
+    timing = config.timing
+    link = 0 if out_port is Port.LOCAL else timing.link_latency
+    slot = config.min_packet_flits * timing.flit_cycle
+    return timing.routing_latency + rounds * round_slots * slot + link
+
+
+def expected_packet_bound(analysis: WaWWaPWCTTAnalysis, source: Coord, destination: Coord) -> int:
+    """Sum of the hop charges along the route.  A zero-weight port counts as
+    one slot; unregulated contenders add the rounds that drain a full input
+    buffer at the input's own share of each round."""
+    config, weights = analysis.config, analysis.weights
+    total = 0
+    for hop in config.topology.route(source, destination):
+        rounds = 1
+        if not analysis.regulated_contenders:
+            slots = max(1, weights.input_credits(hop.router, hop.in_port))
+            rounds = math.ceil(config.buffer_depth / slots)
+        round_slots = max(1, weights.output_round_flits(hop.router, hop.out_port))
+        total += hop_charge(config, hop.out_port, round_slots, rounds)
+    return total
+
+
+def expected_message_bound(
+    analysis: WaWWaPWCTTAnalysis, source: Coord, destination: Coord, payload_flits: int
+) -> int:
+    """First slice's packet bound, then one round of the route's largest
+    port per further WaP slice."""
+    config, weights = analysis.config, analysis.weights
+    slot = config.min_packet_flits * config.timing.flit_cycle
+    largest_round = max(
+        max(1, weights.output_round_flits(hop.router, hop.out_port)) * slot
+        for hop in config.topology.route(source, destination)
+    )
+    slices = config.messages.wap_slices(payload_flits)
+    first = expected_packet_bound(analysis, source, destination)
+    return first + (slices - 1) * largest_round
+
+
+def node_pairs(mesh):
+    return [(s, d) for s in mesh.nodes() for d in mesh.nodes() if s != d]
 
 
 class TestConstruction:
@@ -104,6 +154,65 @@ class TestPacketBounds:
         )
 
 
+class TestHopCharges:
+    """Every bound is the sum of the paper's hop charges along the route."""
+
+    def test_closed_form_weights(self):
+        analysis = WaWWaPWCTTAnalysis(waw_wap_config(4, 3))
+        for src, dst in node_pairs(analysis.mesh):
+            assert analysis.wctt_packet(src, dst) == expected_packet_bound(analysis, src, dst)
+
+    def test_memory_traffic_weights(self):
+        config = waw_wap_config(4, 4)
+        analysis = WaWWaPWCTTAnalysis.for_memory_traffic(config)
+        mc = config.memory_controller
+        pairs = [(node, mc) for node in config.mesh.nodes() if node != mc]
+        pairs += [(mc, node) for node, _ in pairs]
+        table = WeightTable.from_flow_set(FlowSet.from_pairs(config.mesh, pairs))
+        for src, dst in node_pairs(config.mesh):
+            for hop in config.topology.route(src, dst):
+                round_slots = max(1, table.output_round_flits(hop.router, hop.out_port))
+                assert analysis.hop_delay(hop.router, hop.in_port, hop.out_port) == (
+                    hop_charge(config, hop.out_port, round_slots)
+                )
+
+    @pytest.mark.parametrize("buffer_depth", [1, 4, 9])
+    def test_unregulated_contenders_drain_the_input_buffer(self, buffer_depth):
+        config = waw_wap_config(4, 3, buffer_depth=buffer_depth)
+        analysis = WaWWaPWCTTAnalysis(config, regulated_contenders=False)
+        regulated = WaWWaPWCTTAnalysis(config)
+        for src, dst in node_pairs(config.mesh):
+            bound = analysis.wctt_packet(src, dst)
+            assert bound == expected_packet_bound(analysis, src, dst)
+            assert bound >= regulated.wctt_packet(src, dst)
+
+    def test_single_flow_weight_table(self):
+        """A one-flow table leaves most ports at weight 0: each port's round
+        is charged as one slot."""
+        config = waw_wap_config(3, 3)
+        flows = FlowSet.from_pairs(config.mesh, [(Coord(2, 2), Coord(0, 0))])
+        analysis = WaWWaPWCTTAnalysis(config, WeightTable.from_flow_set(flows))
+        for src, dst in node_pairs(config.mesh):
+            route = config.topology.route(src, dst)
+            assert analysis.wctt_packet(src, dst) == sum(
+                hop_charge(config, hop.out_port, 1) for hop in route
+            )
+
+    def test_single_flow_unregulated(self):
+        """An input of no flow owns one slot per round, so a full buffer of
+        ``buffer_depth`` flits takes ``buffer_depth`` rounds to drain."""
+        config = waw_wap_config(3, 3, buffer_depth=6)
+        flows = FlowSet.from_pairs(config.mesh, [(Coord(0, 2), Coord(2, 0))])
+        analysis = WaWWaPWCTTAnalysis(
+            config, WeightTable.from_flow_set(flows), regulated_contenders=False
+        )
+        for src, dst in node_pairs(config.mesh):
+            route = config.topology.route(src, dst)
+            assert analysis.wctt_packet(src, dst) == sum(
+                hop_charge(config, hop.out_port, 1, rounds=6) for hop in route
+            )
+
+
 class TestMessageBounds:
     def test_single_flit_message_equals_packet_bound(self):
         a = memory_analysis(4)
@@ -134,6 +243,38 @@ class TestMessageBounds:
     def test_invalid_payload_rejected(self):
         with pytest.raises(ValueError):
             memory_analysis(4).wctt_message(Coord(1, 1), Coord(0, 0), payload_flits=0)
+
+    @pytest.mark.parametrize("payload", [1, 2, 4, 7, 16])
+    def test_messages_to_and_from_the_controller(self, payload):
+        config = waw_wap_config(4, 3)
+        analysis = WaWWaPWCTTAnalysis(config)
+        mc = config.memory_controller
+        for node in config.mesh.nodes():
+            if node == mc:
+                continue
+            for src, dst in ((node, mc), (mc, node)):
+                assert analysis.wctt_message(src, dst, payload_flits=payload) == (
+                    expected_message_bound(analysis, src, dst, payload)
+                )
+
+    @given(
+        width=st.integers(2, 5),
+        height=st.integers(2, 5),
+        payload=st.integers(1, 12),
+        regulated=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_messages_both_directions(self, width, height, payload, regulated):
+        config = waw_wap_config(width, height)
+        analysis = WaWWaPWCTTAnalysis(config, regulated_contenders=regulated)
+        mc = config.memory_controller
+        for node in config.mesh.nodes():
+            if node == mc:
+                continue
+            for src, dst in ((node, mc), (mc, node)):
+                assert analysis.wctt_message(src, dst, payload_flits=payload) == (
+                    expected_message_bound(analysis, src, dst, payload)
+                )
 
 
 class TestIndependenceFromMaxPacketSize:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.analysis.flowaware import HolisticAnalysis
 from repro.api import Scenario
 from repro.core.flows import FlowSet
+from repro.core.ubd import UBDTable
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.core.weights import (
     PortCounts,
@@ -274,6 +275,7 @@ _CONSUMERS = {
     "system": lambda config, table: ManycoreSystem(config, weight_table=table),
     "weighted": WaWWaPWCTTAnalysis,
     "flow-aware": lambda config, table: HolisticAnalysis(config, weight_table=table),
+    "ubd": lambda config, table: UBDTable(config, weight_table=table),
 }
 
 #: (configured structure, table's structure, their labels in the error).
