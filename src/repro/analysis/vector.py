@@ -152,19 +152,16 @@ def vector_supported(config: NoCConfig) -> Optional[str]:
     if topology.routing.axes[0] != "x":
         return "only XY routing is vectorized"
     if config.is_waw_wap:
-        # Conservative per-hop ceiling: every port round is at most the
-        # all-to-all total times the concentration, and a full buffer of
-        # rounds per hop is headroom (the kernel charges one round).
+        # Conservative per-hop ceiling of the kernel's one round per hop:
+        # every port round is at most the all-to-all total times the
+        # concentration.
         timing = config.timing
         round_ceiling = max(
             1, config.mesh.num_nodes * topology.terminals_per_node
         )
         hop_ceiling = (
             timing.routing_latency
-            + config.buffer_depth
-            * round_ceiling
-            * config.min_packet_flits
-            * timing.flit_cycle
+            + round_ceiling * config.min_packet_flits * timing.flit_cycle
             + timing.link_latency
         )
         hops = config.mesh.width + config.mesh.height + 2

@@ -70,7 +70,6 @@ class Core:
         self.finish_cycle: Optional[int] = None
 
         network.add_listener(node, self._on_message)
-        self._fetch_next()
 
     # ------------------------------------------------------------------
     # Workload stream handling
@@ -146,13 +145,18 @@ class Core:
     # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
-        """True once the workload stream is exhausted and nothing is pending."""
+        """True once the workload stream is exhausted and nothing is pending.
+
+        The stream is first read on the core's first step, so a core is
+        never done before it has stepped, and ``finish_cycle`` is stamped in
+        the same call that makes it done (an empty stream starts and
+        finishes on the first step).
+        """
         return self._finished_stream and self._current_op is None and not self._waiting_reply
 
     def step(self, cycle: int) -> None:
         """Advance the core by one cycle."""
         if self.done:
-            self._maybe_finish(cycle)
             return
         if self.start_cycle is None:
             self.start_cycle = cycle
@@ -194,8 +198,7 @@ class Core:
         record or an operation to fetch/issue.
         """
         if self.done:
-            # A finished core only needs one more step to stamp finish_cycle.
-            return now if self.finish_cycle is None else None
+            return None
         if self.start_cycle is None:
             return now
         if self._waiting_reply:

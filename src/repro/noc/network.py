@@ -171,6 +171,7 @@ class Network:
         injects: List[Tuple[NIC, Flit]] = []
         moves: List[RouterEvent] = []
         now = self.cycle
+        busy = list(self._busy_routers)
 
         for nic in self.nics.values():
             if nic.has_work():
@@ -179,7 +180,7 @@ class Network:
             router.step(now, moves)
 
         self._apply_events(injects, moves, now)
-        self._finish_cycle()
+        self._finish_cycle(busy)
 
     def step_active(self) -> None:
         """One clock cycle touching only components that can hold work.
@@ -194,21 +195,28 @@ class Network:
         injects: List[Tuple[NIC, Flit]] = []
         moves: List[RouterEvent] = []
         now = self.cycle
+        busy = list(self._busy_routers)
 
         for nic in self._busy_nics:
             nic.step(now, injects)
-        for router in list(self._busy_routers):
+        for router in busy:
             router.step(now, moves)
 
         self._apply_events(injects, moves, now)
-        self._finish_cycle()
+        self._finish_cycle(busy)
 
-    def _finish_cycle(self) -> None:
-        """Prune the busy sets (settling leaving routers) and advance time."""
-        emptied = [router for router in self._busy_routers if not router.has_work()]
-        for router in emptied:
-            router._settle_idle()
-            del self._busy_routers[router]
+    def _finish_cycle(self, busy: List[Router]) -> None:
+        """Prune the busy sets (settling leaving routers) and advance time.
+
+        ``busy`` holds the routers that were busy when the cycle began.
+        Only a stepping router loses flits, and a router that entered the
+        busy set during the cycle received one, so only ``busy`` is read.
+        """
+        busy_routers = self._busy_routers
+        for router in busy:
+            if not router._flits:
+                router._settle_idle()
+                del busy_routers[router]
         drained = [nic for nic in self._busy_nics if not nic.has_work()]
         for nic in drained:
             del self._busy_nics[nic]

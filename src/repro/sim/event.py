@@ -13,15 +13,18 @@ clock changes nothing except
 * per-core ``stall_cycles`` / ``compute_cycles`` bookkeeping, which is
   linear in the number of skipped cycles.
 
-This backend therefore computes the next cycle at which *any* component can
-act (``next_activity_cycle``), replays the skipped stretch's state effects
-in closed form (``skip_idle_cycles`` / ``skip_cycles``) and then performs a
-perfectly ordinary cycle-accurate step at the activity point -- real steps
-share the exact same ``Network.step`` / ``ManycoreSystem.step`` code as the
-reference backend, which is what makes the results bit-identical.  The
-speedup comes from never iterating routers, NICs and cores over the dead
-cycles between activity points: compute gaps of EEMBC-like profiles, memory
-service latencies and link/pipeline delays.
+This backend therefore asks, once per iteration, for the next cycle at which
+*any* component can act (``next_activity_cycle``), replays the skipped
+stretch's state effects in closed form (``skip_idle_cycles`` /
+``skip_cycles``) and performs an ordinary step at the activity point.  That
+step is ``step_active``: it evaluates only the busy routers and NICs, runs
+the same per-component steps and event application as the reference
+backend's ``step`` and prunes the busy sets the same way, which is what
+makes the results bit-identical.  Only a finished simulation has no next
+activity, so completion (``is_idle`` / ``is_complete``) is asked only when
+the probe finds none.  The speedup comes from never iterating routers, NICs
+and cores over the dead cycles between activity points: compute gaps of
+EEMBC-like profiles, memory service latencies and link/pipeline delays.
 
 The activity estimate is deliberately *conservative* (a lower bound on the
 next interesting cycle): a head flit that is ready but blocked on credits
@@ -48,30 +51,38 @@ class EventDrivenBackend(SimulationBackend):
     name = "event"
 
     def run_until_idle(self, network, *, max_cycles: int = 1_000_000) -> int:
-        start = network.cycle
-        budget_end = start + max_cycles
-        while not network.is_idle():
-            if network.cycle - start > max_cycles:
-                raise network_stall_error(network, max_cycles)
-            target = network.next_activity_cycle()
-            if target is not None and target > network.cycle:
-                # Jump to the next activity point (clamped so the cycle
-                # budget check above still fires exactly like the
-                # cycle-accurate loop would).
-                network.skip_idle_cycles(min(target, budget_end + 1) - network.cycle)
-                continue
-            network.step_active()
+        _walk(network, network.is_idle, network.skip_idle_cycles, max_cycles, network_stall_error)
         return network.cycle
 
     def run_to_completion(self, system, *, max_cycles: int = 5_000_000) -> int:
         start = system.cycle
-        budget_end = start + max_cycles
-        while not system.is_complete():
-            if system.cycle - start > max_cycles:
-                raise system_stall_error(system, max_cycles)
-            target = system.next_activity_cycle()
-            if target is not None and target > system.cycle:
-                system.skip_cycles(min(target, budget_end + 1) - system.cycle)
-                continue
-            system.step_active()
+        _walk(system, system.is_complete, system.skip_cycles, max_cycles, system_stall_error)
         return system.cycle - start
+
+
+def _walk(sim, finished, skip, max_cycles: int, stall_error) -> None:
+    """Step or jump ``sim`` (a network or a system) until ``finished()``.
+
+    Each iteration asks the activity probe once.  A finished simulation has
+    no next activity, so ``finished()`` is asked only when the probe returns
+    ``None``; if it is not finished then, nothing will ever act again and
+    only the cycle budget ends the run.  Jumps are clamped to the first
+    cycle past the budget, so the stall error fires on exactly the cycle
+    the cycle-accurate loop raises it.
+    """
+    probe = sim.next_activity_cycle
+    step = sim.step_active
+    budget_end = sim.cycle + max_cycles
+    while True:
+        target = probe()
+        if target is None:
+            if finished():
+                return
+            target = budget_end + 1
+        now = sim.cycle
+        if now > budget_end:
+            raise stall_error(sim, max_cycles)
+        if target > now:
+            skip(min(target, budget_end + 1) - now)
+        else:
+            step()

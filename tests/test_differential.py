@@ -25,7 +25,7 @@ from repro.manycore.placement import Placement
 from repro.manycore.system import ManycoreSystem
 from repro.noc.network import Network
 from repro.workloads.eembc import autobench_profile, autobench_suite
-from repro.workloads.parallel import ParallelWorkload
+from repro.workloads.parallel import ParallelWorkload, Phase, ThreadPhaseWork
 from repro.workloads.synthetic import UniformRandomTraffic
 
 BACKENDS = ("cycle", "event")
@@ -443,6 +443,34 @@ def test_parallel_workload_bit_identical():
         cycles = system.run_to_completion(max_cycles=2_000_000)
         snapshots[backend] = system_snapshot(system, cycles)
     assert snapshots["event"] == snapshots["cycle"]
+
+
+@pytest.mark.parametrize("beside_a_working_core", (False, True), ids=("alone", "beside"))
+def test_empty_stream_core_starts_and_finishes_on_its_first_step(beside_a_working_core):
+    """A thread without work in a barrier-synchronised workload gets a core
+    whose operation stream is empty: it starts and finishes on its first
+    step (elapsed 0) on both backends, alone or while another core keeps
+    the system running."""
+    idle = Coord(2, 2)
+    nodes = [Coord(1, 1), idle] if beside_a_working_core else [idle]
+    phase = Phase("only")
+    if beside_a_working_core:
+        phase.add(ThreadPhaseWork(0, compute_cycles=50, loads=3))
+    workload = ParallelWorkload("idle-thread", num_threads=len(nodes), phases=[phase])
+    placement = Placement("idle-thread")
+    for thread_id, node in enumerate(nodes):
+        placement.assign(thread_id, node)
+    snapshots = {}
+    for backend in BACKENDS:
+        system = ManycoreSystem(Scenario.mesh(3).waw_wap().backend(backend).build())
+        system.add_parallel_workload(workload, placement)
+        cycles = system.run_to_completion(max_cycles=10_000)
+        snapshots[backend] = system_snapshot(system, cycles)
+        assert system.per_core_cycles()[idle] == 0
+    assert snapshots["event"] == snapshots["cycle"]
+    start, finish = snapshots["cycle"]["per_core"][str(idle)][-2:]
+    assert start == finish == 0
+    assert snapshots["cycle"]["cycles"] == (225 if beside_a_working_core else 1)
 
 
 # ----------------------------------------------------------------------

@@ -195,9 +195,22 @@ class TestSupportPredicate:
         assert "XY" in vector_supported(yx)
 
     def test_overflow_guard_refuses_giant_design(self):
-        config = waw_wap_config(4, 4, buffer_depth=2**58)
+        # (3,3)->(0,0) crosses seven routers of 2**61 pipeline cycles each,
+        # so its bound does not fit an int64.
+        config = waw_wap_config(4, 4, timing=RouterTiming(routing_latency=2**61))
+        assert wctt_map(paper_analysis(config), Coord(0, 0))[Coord(3, 3)] > 2**63 - 1
         reason = vector_supported(config)
         assert reason is not None and "overflow" in reason
+
+    def test_deep_buffers_vectorize_bit_identically(self):
+        # The kernel charges one arbitration round per hop, whatever the
+        # buffer depth, so a deep buffer cannot overflow it.
+        config = waw_wap_config(4, 4, buffer_depth=2**58)
+        assert vector_supported(config) is None
+        scalar = paper_analysis(config)
+        vector = make_vector_analysis(config)
+        for destination in _destinations(config.mesh):
+            assert vector_wctt_map(vector, destination) == wctt_map(scalar, destination)
 
     def test_vector_analyses_refuse_unsupported_configs(self):
         torus = Scenario.mesh(4).waw_wap().topology("torus").build()

@@ -16,6 +16,7 @@ from repro.api import registry as registry_module
 from repro.api.registry import experiment
 from repro.core.config import regular_mesh_config
 from repro.geometry import Coord
+from repro.manycore.core import Core
 from repro.manycore.system import ManycoreSystem
 from repro.noc.network import Network
 from repro.service import ResultStore
@@ -170,6 +171,37 @@ class TestStallErrors:
                 network.run_until_idle(max_cycles=7)
             results[backend] = network.cycle
         assert results["event"] == results["cycle"]
+
+    def test_a_system_no_component_can_wake_stalls_alike(self, monkeypatch):
+        """A core whose loads go to a node without a memory controller waits
+        for a reply that never comes.  Nothing can act once its load has
+        arrived, so the event backend jumps to the end of the budget: it
+        raises on the same cycle, with the same message and core counters,
+        as the cycle-accurate loop (stepping every cycle up to the budget
+        makes 486 event-backend steps here, not 6)."""
+        steps = [0]
+        step_active = ManycoreSystem.step_active
+
+        def counted(system):
+            steps[0] += 1
+            step_active(system)
+
+        monkeypatch.setattr(ManycoreSystem, "step_active", counted)
+        results = {}
+        for backend in ("cycle", "event"):
+            system = ManycoreSystem(regular_mesh_config(3), backend=backend)
+            node = Coord(2, 2)
+            system.cores[node] = Core(
+                node, system.network, operations(2), memory_controller=Coord(1, 0), name="orphan"
+            )
+            with pytest.raises(SimulationStallError) as excinfo:
+                system.run_to_completion(max_cycles=500)
+            core = system.cores[node]
+            results[backend] = (system.cycle, str(excinfo.value), core.stall_cycles)
+        assert results["event"] == results["cycle"]
+        assert results["cycle"][0] == 501
+        assert "orphan" in results["cycle"][1]
+        assert steps[0] == 6
 
 
 # ----------------------------------------------------------------------

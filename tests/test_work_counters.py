@@ -109,6 +109,16 @@ class TestFaultyTrialPin:
         assert min(requesters) >= 2
         assert refills[0] == 4
 
+    def test_busy_routers_are_pruned_by_their_flit_count(self, monkeypatch):
+        """The end of a cycle prunes the busy routers that stepped by reading
+        their flit count, on the driver's ``step`` and on the drain's
+        ``step_active`` alike, and the drain asks ``is_idle`` once, when no
+        activity is left (pruning through ``has_work`` and asking ``is_idle``
+        on every drain iteration makes 7,008 ``has_work`` calls here)."""
+        has_work = _count_calls(monkeypatch, Router, "has_work")
+        _faulty_trial()
+        assert has_work[0] == 0
+
     def test_finished_network_is_freed_by_reference_counting(self):
         """No reference cycle keeps a drained network alive until a full
         collection."""
@@ -135,11 +145,17 @@ class TestEventBackendWork:
         ``Router.step`` count.  A lone kernel never contends, so no WaW
         arbiter is picked (one call per grant makes 25,740) or leaves its
         weights, and none is refilled (refilling every arbiter of a router
-        that goes quiet makes 49,417 ``idle_cycles`` calls).
+        that goes quiet makes 49,417 ``idle_cycles`` calls).  The loop asks
+        ``is_complete`` once per run, when the activity probe finds nothing
+        left (asking it on every iteration makes 27,544 calls), and the busy
+        routers are pruned by their flit count (asking each one
+        ``has_work`` after every stepped cycle makes 52,828 calls).
         """
         config = Scenario.mesh(8).waw_wap().backend("event").build()
         system_steps = _count_calls(monkeypatch, ManycoreSystem, "step_active")
+        completion_checks = _count_calls(monkeypatch, ManycoreSystem, "is_complete")
         router_steps = _count_calls(monkeypatch, Router, "step")
+        has_work = _count_calls(monkeypatch, Router, "has_work")
         picks = _count_calls(monkeypatch, WeightedRoundRobinArbiter, "pick")
         refills = _count_calls(monkeypatch, WeightedRoundRobinArbiter, "idle_cycles")
         cycles = forwarded = 0
@@ -151,7 +167,9 @@ class TestEventBackendWork:
             forwarded += sum(r.forwarded_flits for r in system.network.routers.values())
         assert cycles == 77_721
         assert system_steps[0] == 22_733
+        assert completion_checks[0] == 16
         assert router_steps[0] == 43_035
+        assert has_work[0] == 0
         assert forwarded == 25_740
         assert (picks[0], refills[0]) == (0, 0)
 
