@@ -178,18 +178,33 @@ class Router:
         self._owner: List[Optional[int]] = [None] * len(PORTS)
         #: Credits towards the downstream buffer of each directional output.
         self._credits: List[int] = [config.buffer_depth] * len(PORTS)
+        self._outputs = layout.outputs
         #: Per output port, in topology order: ``(port number, arbiter,
-        #: contender port numbers, counters, weights, requester table)``; the
-        #: arbiter is ``None`` for an output no input may legally request.  An
-        #: idle cycle changes nothing while a WaW arbiter's counter list equals
-        #: its weight list (both ``None`` for round-robin, which keeps no idle
-        #: state, and where there is no arbiter).
-        waw = config.is_waw
+        #: contender port numbers, counters, weights, requester table)``; see
+        #: :meth:`_build_plan`, which sets it when the first flit arrives.
+        self._plan: Optional[Tuple[tuple, ...]] = None
+
+        # Statistics / idle bookkeeping.
+        self.forwarded_flits = 0
+        self._was_idle = True
+
+    def _build_plan(self) -> Tuple[tuple, ...]:
+        """Build the arbiters and the per-output plan the router steps through.
+
+        The arbiter is ``None`` for an output no input may legally request.
+        An idle cycle changes nothing while a WaW arbiter's counter list
+        equals its weight list (both ``None`` for round-robin, which keeps
+        no idle state, and where there is no arbiter).  So an arbiter stays
+        in its initial state until its router holds a flit, and the plan is
+        built then (:meth:`_accept`): most routers of a mesh that carries
+        one core's traffic never build one.
+        """
+        waw = self.config.is_waw
         if waw:
-            counts = weight_table.counts(coord).inputs
+            counts = self.weight_table.counts(self.coord).inputs
             weights = [counts.get(port, 0) for port in PORTS]
         plan = []
-        for out, contenders, numbers, table in layout.outputs:
+        for out, contenders, numbers, table in self._outputs:
             arbiter = counters = weights_at = None
             if contenders and waw:
                 arbiter = WeightedRoundRobinArbiter(contenders, [weights[n] for n in numbers])
@@ -197,11 +212,8 @@ class Router:
             elif contenders:
                 arbiter = RoundRobinArbiter(contenders)
             plan.append((out, arbiter, numbers, counters, weights_at, table))
-        self._plan: Tuple[tuple, ...] = tuple(plan)
-
-        # Statistics / idle bookkeeping.
-        self.forwarded_flits = 0
-        self._was_idle = True
+        self._plan = tuple(plan)
+        return self._plan
 
     # ------------------------------------------------------------------
     # Port-level views (tests and diagnostics)
@@ -214,14 +226,15 @@ class Router:
     @property
     def arbiters(self) -> Dict[Port, Arbiter]:
         """The arbiter of each output port that some input may request."""
-        return {PORTS[out]: arbiter for out, arbiter, *_ in self._plan if arbiter is not None}
+        plan = self._plan if self._plan is not None else self._build_plan()
+        return {PORTS[out]: arbiter for out, arbiter, *_ in plan if arbiter is not None}
 
     @property
     def output_owner(self) -> Dict[Port, Optional[Port]]:
         """The input port holding each output port's wormhole lock (``None`` if free)."""
         return {
             PORTS[out]: None if self._owner[out] is None else PORTS[self._owner[out]]
-            for out, *_ in self._plan
+            for out, *_ in self._outputs
         }
 
     # ------------------------------------------------------------------
@@ -246,6 +259,8 @@ class Router:
             flit.route = route
         fifo.append(flit)
         self._flits += 1
+        if self._plan is None:
+            self._build_plan()
 
     def buffered_flits(self) -> int:
         return self._flits
