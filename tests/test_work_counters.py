@@ -19,7 +19,7 @@ import pytest
 
 from repro.analysis import vector
 from repro.api import Scenario, sweep
-from repro.core.arbitration import WeightedRoundRobinArbiter
+from repro.core.arbitration import Arbiter, WeightedRoundRobinArbiter
 from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
 from repro.experiments import scenario_wctt
@@ -111,7 +111,7 @@ class TestFaultyTrialPin:
 
     def test_busy_routers_are_pruned_by_their_flit_count(self, monkeypatch):
         """The end of a cycle prunes the busy routers that stepped by reading
-        their flit count, on the driver's ``step`` and on the drain's
+        their flit count, on the traffic loop's ``step`` and on the drain's
         ``step_active`` alike, and the drain asks ``is_idle`` once, when no
         activity is left (pruning through ``has_work`` and asking ``is_idle``
         on every drain iteration makes 7,008 ``has_work`` calls here)."""
@@ -188,6 +188,20 @@ class TestNetworkBuildWork:
         upstream = _count_calls(monkeypatch, Mesh, "upstream")
         Network(config)
         assert (downstream[0], upstream[0]) == (0, 0)
+
+    def test_build_makes_no_arbiter_until_a_flit_arrives(self, monkeypatch):
+        """A router builds its arbiters when its first flit arrives, so a
+        fresh 8x8 WaW+WaP network builds none (288 when built up front) and
+        a lone message builds only those of the 15 routers on its path."""
+        config = Scenario.mesh(8).waw_wap().backend("event").build()
+        arbiters = _count_calls(monkeypatch, Arbiter, "__init__")
+        network = Network(config)
+        assert arbiters[0] == 0
+        network.send(Coord(7, 7), Coord(0, 0), 4)
+        network.run_until_idle()
+        built = [router for router in network.routers.values() if router._plan is not None]
+        assert len(built) == 15
+        assert arbiters[0] == sum(len(router.arbiters) for router in built)
 
 
 #: The benchmark's 1176-point design grid (``SWEEP_GRID`` in perfbench/workloads.py).
