@@ -2,7 +2,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-wnoc",
-    version="1.11.0",
+    version="1.12.0",
     description=(
         "Reproduction of 'Improving Performance Guarantees in Wormhole Mesh "
         "NoC Designs' (Panic et al., DATE 2016)"
@@ -12,9 +12,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.8",
-    install_requires=[
-        "numpy",
-    ],
+    install_requires=[],
     entry_points={
         "console_scripts": [
             "repro-experiments = repro.experiments.runner:main",

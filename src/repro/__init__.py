@@ -129,7 +129,7 @@ from .analysis import (
     vector_wctt_summary,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 #: Service entry points resolved lazily (they pull in asyncio machinery
 #: that most library users never touch).

@@ -1,7 +1,7 @@
 """Analysis utilities: the pluggable :class:`AnalysisBackend` registry with
 the competing flow-aware analyses (:mod:`repro.analysis.flowaware`), bound
-validation, report formatting and the numpy kernels of the paper's bounds
-(:mod:`repro.analysis.vector`)."""
+validation, report formatting and the closed-form grids of the paper's
+bounds (:mod:`repro.analysis.vector`)."""
 
 from .backends import (
     AnalysisBackend,

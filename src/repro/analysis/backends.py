@@ -8,8 +8,8 @@ backend adapts one of them to a small, uniform surface (``supports``,
 ``analysis``, ``wctt_packet``, ``wctt_message``, ``wctt_map``,
 ``wctt_summary``), so competing analyses can be swept side by side over the
 same design points and cross-checked against each other and against
-simulation.  The numpy kernels of :mod:`repro.analysis.vector` are not a
-backend: they compute the ``regular``/``weighted`` bounds bit for bit
+simulation.  The closed-form grids of :mod:`repro.analysis.vector` are not
+a backend: they compute the ``regular``/``weighted`` bounds bit for bit
 (see :func:`make_analysis_backend`).
 
 Registered backends:
@@ -250,8 +250,8 @@ def make_analysis_backend(
     :class:`PaperAnalysisBackend` rather than a fixed registry entry.  It is
     the one place that picks the paper's bound for a design point.
 
-    No name selects the numpy kernels of :mod:`repro.analysis.vector`:
-    ``scenario_wctt`` and ``UBDTable`` take them on their own wherever
+    No name selects the closed-form grids of :mod:`repro.analysis.vector`:
+    ``scenario_wctt`` takes them on its own wherever
     :func:`~repro.analysis.vector.vector_supported` allows.
     """
     if spec is None:

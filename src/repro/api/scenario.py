@@ -183,9 +183,9 @@ class Scenario:
         ``name`` is a registered :mod:`repro.analysis` backend (``regular``,
         ``weighted``, ``holistic``, ``trajectory``); ``None`` removes the
         selection again, restoring the default -- the paper's analysis pair,
-        dispatched on the design point.  No name selects the numpy kernels
-        of :mod:`repro.analysis.vector`, which compute the paper's bounds bit
-        for bit wherever they apply.  Unlike the simulation :meth:`backend`,
+        dispatched on the design point.  No name selects the closed-form
+        grids of :mod:`repro.analysis.vector`, which compute the paper's
+        bounds bit for bit wherever they apply.  Unlike the simulation :meth:`backend`,
         the analysis choice *does* change numbers: backends are competing
         bounds of different tightness (each validated for soundness by
         ``tests/test_backend_soundness.py`` and the ``bound_comparison``

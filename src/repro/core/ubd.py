@@ -73,9 +73,9 @@ class UBDTable:
     """Per-core upper bound delays for one NoC design point.
 
     The table is filled by the analysis it holds, four message bounds per
-    core.  It takes no numpy path: no benchmark workload builds a table, and
-    vectorizing one saved 0-25 ms on quick experiment runs of 10-270 ms
-    (in-process, on a 2-vCPU host).
+    core.  It takes no closed-form grid of :mod:`repro.analysis.vector`: no
+    benchmark workload builds a table, and vectorizing one saved 0-25 ms on
+    quick experiment runs of 10-270 ms (in-process, on a 2-vCPU host).
 
     ``backend`` selects a registered :class:`~repro.analysis.AnalysisBackend`
     by name (``regular``, ``weighted``, ``holistic``, ``trajectory``) to

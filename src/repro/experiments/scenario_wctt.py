@@ -89,8 +89,8 @@ def run(
     form (the shape a daemon submission travels in); the default is the
     4x4 WaW+WaP mesh.  ``packet_flits`` is the analysed packet length.
 
-    The default path evaluates the paper's bound with the numpy kernels of
-    :mod:`repro.analysis.vector` wherever
+    The default path evaluates the paper's bound with the closed-form grids
+    of :mod:`repro.analysis.vector` wherever
     :func:`~repro.analysis.vector.vector_supported` allows and with the
     scalar analysis everywhere else; both give bit-identical summaries
     (``tests/test_differential_analysis.py``).  ``engine="scalar"`` forces

@@ -1,8 +1,4 @@
-"""The AnalysisBackend registry and the competing flow-aware analyses.
-
-Everything here runs without numpy, so the scalar paths stay covered by the
-no-numpy CI job.
-"""
+"""The AnalysisBackend registry and the competing flow-aware analyses."""
 
 from __future__ import annotations
 
@@ -69,8 +65,8 @@ class TestRegistry:
             normalize_analysis_backend_name("bogus")
 
     def test_vector_names_fail_loudly(self, capsys):
-        # The numpy kernels are not a backend: the paths that can use them
-        # do so on their own, so neither old name may resolve anywhere.
+        # The closed-form grids are not a backend: the paths that can use
+        # them do so on their own, so neither old name may resolve anywhere.
         known = "known backends: holistic, regular, trajectory, weighted"
         for name in ("vector", "numpy"):
             with pytest.raises(ValueError, match=known):
@@ -148,14 +144,12 @@ class TestSupports:
             make_analysis_backend("regular").analysis(waw_wap_config(3, 3))
 
     def test_vector_gate_gives_reasons(self):
-        # The paths that use the numpy kernels ask vector_supported first;
-        # without numpy it refuses every design point and says why.
+        # The paths that use the closed-form grids ask vector_supported
+        # first; it refuses what the grids do not model and says why.
         torus = Scenario.mesh(3).waw_wap().topology("torus").build()
         reason = vector.vector_supported(torus)
-        assert reason is not None and ("numpy" in reason or "wrap-around" in reason)
-        assert vector.vector_supported(waw_wap_config(3, 3)) == (
-            None if vector.HAS_NUMPY else "numpy is not installed"
-        )
+        assert reason is not None and "wrap-around" in reason
+        assert vector.vector_supported(waw_wap_config(3, 3)) is None
 
 
 WAW_ONLY = Scenario.mesh(3).waw_only()

@@ -3,10 +3,10 @@
 The contract of :mod:`repro.analysis.vector` is *bit-identical integers*
 (and bit-identical means: the scalar side takes :func:`statistics.mean` of
 its python ints, the vector side an exact ``divmod`` rule, and the two must
-agree in value and in type -- an ``int`` when the mean is whole): the numpy
-kernels are a pure performance feature and must never change a single
-bound.  This file sweeps a wide grid of design points and asserts exact
-equality on every surface the engine exposes -- count matrices, packet
+agree in value and in type -- an ``int`` when the mean is whole): the
+closed-form grids are a pure performance feature and must never change a
+single bound.  This file sweeps a wide grid of design points and asserts
+exact equality on every surface the engine exposes -- round counts, packet
 maps, all-to-one summaries and the ``scenario_wctt`` experiment wiring.
 """
 
@@ -16,12 +16,9 @@ import dataclasses
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.analysis.vector import (
     VectorRegularAnalysis,
     VectorWaWWaPAnalysis,
-    closed_form_count_arrays,
     make_vector_analysis,
     vector_supported,
     vector_wctt_map,
@@ -64,18 +61,20 @@ def _destinations(mesh: Mesh):
 
 
 class TestCountArrays:
-    """The closed-form count matrices hold the closed-form table's counts."""
+    """The WaW+WaP kernel charges the closed-form table's output counts."""
 
     @staticmethod
     def _assert_match_weight_table(mesh):
+        config = dataclasses.replace(waw_wap_config(mesh.width, mesh.height), mesh=mesh)
+        kernel = VectorWaWWaPAnalysis(config)
         table = WeightTable.from_closed_form(mesh)
-        vec_in, vec_out = closed_form_count_arrays(mesh)
+        by_column = (Port.XPLUS, Port.XMINUS)
         for router in mesh.nodes():
             counts = table.counts(router)
-            for port in Port:
-                cell = (router.y, router.x)
-                assert vec_in[port][cell] == counts.input_count(port), (router, port)
-                assert vec_out[port][cell] == counts.output_count(port), (router, port)
+            for port, slots in kernel.round_slots.items():
+                index = router.x if port in by_column else router.y
+                assert slots[index] == counts.output_count(port), (router, port)
+            assert kernel.eject_slots == counts.output_count(Port.LOCAL), router
 
     @pytest.mark.parametrize("width,height", MESHES)
     def test_closed_forms_match_weight_table(self, width, height):
@@ -110,8 +109,9 @@ class TestPacketMaps:
                 ), design
 
     @pytest.mark.parametrize("concentration", [2, 4])
-    def test_cmesh_bit_identical(self, concentration):
-        base = waw_wap_config(3, 3)
+    @pytest.mark.parametrize("design", ["regular", "waw_wap"])
+    def test_cmesh_bit_identical(self, concentration, design):
+        base = CONFIG_FNS[design](3, 3)
         config = dataclasses.replace(
             base, mesh=ConcentratedMesh(3, 3, concentration=concentration)
         )
@@ -194,13 +194,15 @@ class TestSupportPredicate:
         yx = Scenario.mesh(4).waw_wap().topology("mesh", routing="yx").build()
         assert "XY" in vector_supported(yx)
 
-    def test_overflow_guard_refuses_giant_design(self):
+    def test_giant_design_vectorizes_exactly(self):
         # (3,3)->(0,0) crosses seven routers of 2**61 pipeline cycles each,
-        # so its bound does not fit an int64.
+        # so its bound does not fit an int64; python ints hold it exactly.
         config = waw_wap_config(4, 4, timing=RouterTiming(routing_latency=2**61))
-        assert wctt_map(paper_analysis(config), Coord(0, 0))[Coord(3, 3)] > 2**63 - 1
-        reason = vector_supported(config)
-        assert reason is not None and "overflow" in reason
+        assert vector_supported(config) is None
+        destination = Coord(0, 0)
+        scalar = wctt_map(paper_analysis(config), destination)
+        assert scalar[Coord(3, 3)] > 2**63 - 1
+        assert vector_wctt_map(make_vector_analysis(config), destination) == scalar
 
     def test_deep_buffers_vectorize_bit_identically(self):
         # The kernel charges one arbitration round per hop, whatever the

@@ -3,15 +3,35 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
 import repro
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
 
 class TestPackageSurface:
     def test_version(self):
-        assert repro.__version__ == "1.11.0"
+        assert repro.__version__ == "1.12.0"
+
+    def test_import_loads_no_numpy(self):
+        """Importing the package and every experiment loads no numpy, whose
+        import would cost each process its start-up time and memory."""
+        code = (
+            "import sys, repro, repro.api.registry\n"
+            "repro.api.registry.discover()\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:

@@ -12,8 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
 from repro.analysis.backends import make_analysis_backend
 from repro.analysis.vector import (
     make_vector_analysis,

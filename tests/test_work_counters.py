@@ -214,7 +214,6 @@ SWEEP_GRID = dict(
 )
 
 
-@pytest.mark.skipif(not vector.HAS_NUMPY, reason="numpy is not installed")
 class TestDefaultPathVectorizes:
     """Both analysis paths give bit-identical bounds, so no golden can see a
     design point fall back to the scalar path (~34x slower on this grid);

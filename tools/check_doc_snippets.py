@@ -10,9 +10,7 @@ Without arguments every ``docs/*.md`` file is checked.  Each fenced
 namespace (so a later block may use the imports and variables of an earlier
 one), and every file starts from a clean namespace.  A block annotated with
 an HTML comment ``<!-- no-run -->`` on the line directly above its opening
-fence is skipped (use sparingly, e.g. for deliberately failing examples);
-``<!-- needs-numpy -->`` skips the block only when numpy is unavailable,
-so the no-numpy CI job can still run every other snippet.
+fence is skipped (use sparingly, e.g. for deliberately failing examples).
 
 The script needs no third-party packages and inserts ``src/`` at the front
 of ``sys.path``, so it runs from a plain checkout exactly like
@@ -35,29 +33,16 @@ SRC = REPO_ROOT / "src"
 _FENCE = re.compile(r"^```python\s*$")
 _FENCE_END = re.compile(r"^```\s*$")
 _SKIP_MARK = "<!-- no-run -->"
-_NUMPY_MARK = "<!-- needs-numpy -->"
-
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def extract_blocks(text: str) -> List[Tuple[int, str, bool]]:
     """Return ``(first_line_number, source, skipped)`` for each python block."""
     blocks: List[Tuple[int, str, bool]] = []
     lines = text.splitlines()
-    have_numpy = _numpy_available()
     i = 0
     while i < len(lines):
         if _FENCE.match(lines[i]):
-            marker = lines[i - 1] if i > 0 else ""
-            skipped = _SKIP_MARK in marker or (
-                _NUMPY_MARK in marker and not have_numpy
-            )
+            skipped = i > 0 and _SKIP_MARK in lines[i - 1]
             start = i + 1
             body: List[str] = []
             i += 1
