@@ -216,7 +216,7 @@ SWEEP_GRID = dict(
 
 class TestDefaultPathVectorizes:
     """Both analysis paths give bit-identical bounds, so no golden can see a
-    design point fall back to the scalar path (~34x slower on this grid);
+    design point fall back to the scalar path (~140x slower on this grid);
     the calls it makes show it."""
 
     def _points(self):
