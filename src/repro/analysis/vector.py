@@ -238,16 +238,18 @@ class VectorRegularAnalysis:
         rl = timing.routing_latency
         a = rl + timing.link_latency
         # Contenders of an output: the physically existing ports among its
-        # XY legal inputs (repro.topology.base._XY_LEGAL_INPUTS).  An X or Y
-        # output's are the LOCAL input and the input behind it, from the
-        # router at ``+ step`` (absent at the mesh edge); a Y output's add
-        # both X inputs of its column.
+        # XY legal inputs (repro.topology.base._XY_LEGAL_INPUTS).  The LOCAL
+        # output's are the four link inputs.  An X or Y output's are the
+        # LOCAL input and the input behind it, from the router at ``+ step``
+        # (absent at the mesh edge); a Y output's add both X inputs of its
+        # column.
         x_inputs = (dx > 0) + (dx < w - 1)
 
         # Column chain at x = dx, from the ejection hop up and down: the
         # service time and contender count of the hop at (dx, y), and the
         # bound of a source there.  ``col_bound[dy]`` is the ejection hop's
-        # share alone, which every route ends with.
+        # share alone, which every route ends with; each hop before it adds
+        # ``rl + ll`` and its wait ``(c - 1) * service``.
         serv = self.contender_packet_flits * timing.flit_cycle
         c = x_inputs + (dy > 0) + (dy < h - 1)
         bound = own * timing.flit_cycle + rl + (c - 1) * serv

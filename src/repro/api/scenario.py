@@ -185,11 +185,11 @@ class Scenario:
         selection again, restoring the default -- the paper's analysis pair,
         dispatched on the design point.  No name selects the closed-form
         grids of :mod:`repro.analysis.vector`, which compute the paper's
-        bounds bit for bit wherever they apply.  Unlike the simulation :meth:`backend`,
-        the analysis choice *does* change numbers: backends are competing
-        bounds of different tightness (each validated for soundness by
-        ``tests/test_backend_soundness.py`` and the ``bound_comparison``
-        experiment).
+        bounds bit for bit wherever they apply.  Unlike the simulation
+        :meth:`backend`, the analysis choice *does* change numbers: backends
+        are competing bounds of different tightness (each validated for
+        soundness by ``tests/test_backend_soundness.py`` and the
+        ``bound_comparison`` experiment).
         """
         if name is None:
             merged = dict(self._settings)
