@@ -40,7 +40,9 @@ Scope: edge-bounded meshes (plain :class:`~repro.geometry.Mesh`,
 under the ``merging`` contender policy that the paper's analyses use.
 Everything else (torus, ring, YX) falls back to the scalar reference.  No
 caller chooses between the two paths: :func:`vector_supported` is the
-single gatekeeper that :mod:`repro.experiments.scenario_wctt` consults.
+single gatekeeper, which the kernels consult when they are built; they
+raise :class:`NotVectorizable` with its reason, and
+:mod:`repro.experiments.scenario_wctt` then takes the scalar path.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from ..core.wctt import WCTTSummary
 from .backends import make_analysis_backend
 
 __all__ = [
+    "NotVectorizable",
     "vector_supported",
     "VectorWaWWaPAnalysis",
     "VectorRegularAnalysis",
@@ -72,6 +75,10 @@ Grid = List[List[int]]
 # ----------------------------------------------------------------------
 # Support predicate
 # ----------------------------------------------------------------------
+class NotVectorizable(ValueError):
+    """A kernel refused a design point that :func:`vector_supported` rejects."""
+
+
 def vector_supported(config: NoCConfig) -> Optional[str]:
     """Why ``config`` cannot take the closed-form grids (``None`` = it can).
 
@@ -112,7 +119,7 @@ class VectorWaWWaPAnalysis:
             )
         reason = vector_supported(config)
         if reason is not None:
-            raise ValueError(f"configuration not vectorizable: {reason}")
+            raise NotVectorizable(f"configuration not vectorizable: {reason}")
         self.config = config
         self.mesh: Mesh = config.mesh
         self.topology: Topology = config.topology
@@ -207,7 +214,7 @@ class VectorRegularAnalysis:
     ):
         reason = vector_supported(config)
         if reason is not None:
-            raise ValueError(f"configuration not vectorizable: {reason}")
+            raise NotVectorizable(f"configuration not vectorizable: {reason}")
         self.config = config
         self.mesh: Mesh = config.mesh
         self.topology: Topology = config.topology

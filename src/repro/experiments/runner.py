@@ -595,7 +595,8 @@ def _grid_jobs(args: argparse.Namespace) -> Optional[List[BatchJob]]:
 def _open_store(args: argparse.Namespace) -> Optional[ResultStore]:
     """The command's result store (see the module docstring), or None.
 
-    Raises :class:`StoreError` when the directory cannot be created.
+    Raises :class:`StoreError` when the directory cannot be created or
+    its database cannot be opened.
     """
     if "cache_dir" in args:
         return None if args.cache_dir is None else ResultStore(args.cache_dir)

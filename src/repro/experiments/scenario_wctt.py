@@ -121,11 +121,17 @@ def run(
     effective_analysis = analysis if analysis is not None else scenario.settings.get("analysis")
     label = scenario.label()
     backend = make_analysis_backend(effective_analysis)
-    backend.require(config)
-    # Read from the module at call time, where perfbench's tracer patches them.
-    if effective_analysis is None and engine == "auto" and vector.vector_supported(config) is None:
-        summary = vector.vector_wctt_summary(config, packet_flits=packet_flits)
-    else:
+    summary = None
+    if effective_analysis is None and engine == "auto":
+        # The summary checks the design once (the paper backend's require,
+        # then vector_supported) and raises NotVectorizable where the grids
+        # do not apply.  It and vector_supported are read from the module at
+        # call time, where perfbench's tracer patches them.
+        try:
+            summary = vector.vector_wctt_summary(config, packet_flits=packet_flits)
+        except vector.NotVectorizable:
+            pass
+    if summary is None:
         summary = backend.wctt_summary(config, packet_flits=packet_flits)
     if effective_analysis is not None and "analysis" not in scenario.settings:
         label = f"{label}-{backend.name}"

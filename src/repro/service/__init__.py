@@ -3,8 +3,8 @@
 The subsystem turns the batch-script workflow into a persistent service:
 
 * :mod:`repro.service.store` -- :class:`ResultStore`, the durable
-  content-addressed result store (config-hash keyed, atomic writes,
-  shared across processes and daemon restarts);
+  content-addressed result store (config-hash keyed rows of one SQLite
+  database, shared across processes and daemon restarts);
 * :mod:`repro.service.server` -- :class:`ReproService`, the asyncio daemon
   with an async job queue, request coalescing and streaming progress;
 * :mod:`repro.service.client` -- :class:`ServiceClient`, the blocking

@@ -2,24 +2,39 @@
 
 The store maps a config hash (:func:`repro.api.engine.config_hash`, which
 folds the package version into the digest, so results computed by an older
-release can never be served by a newer one) to one JSON file on disk::
+release can never be served by a newer one) to one row of one SQLite
+database per store directory::
 
-    <root>/<digest>.json
+    <root>/results.sqlite3    table entries (digest TEXT PRIMARY KEY, envelope TEXT)
 
-Each file is an envelope carrying provenance metadata next to the
-serialized :class:`~repro.api.results.ExperimentResult`::
+Each row's envelope is one line of compact JSON carrying provenance
+metadata next to the serialized
+:class:`~repro.api.results.ExperimentResult`::
 
     {"store_format": 1,
      "meta": {"config_hash": ..., "experiment": ..., "version": ...,
               "created_unix": ..., "duration_seconds": ...},
      "result": {... ExperimentResult.to_dict() ...}}
 
-Writes are atomic (unique temp file + ``os.replace``), so concurrent
-writers -- multiple daemons, batch-engine worker pools, parallel CI jobs --
-can share one store without torn reads: a reader either sees a complete
-entry or none at all.  Unreadable, truncated, malformed or foreign files
-are treated as absent rather than fatal.  Entries are one line of compact JSON; the
-indented entries of older releases still read (readers ignore whitespace).
+Concurrency: the database runs in SQLite's write-ahead-log (WAL) mode, so
+any number of daemons, batch engines and campaigns, in any number of
+processes and threads, can share one directory.  Writers take turns (one
+at a time; a writer waits for another process's write lock) and readers
+never wait for them.  A :meth:`ResultStore.put` is one autocommitted
+``INSERT OR REPLACE``: a reader sees the complete entry or none, and the
+last writer wins.  Unreadable, malformed or foreign rows read as absent,
+and the next ``put`` of their digest overwrites them.
+
+Durability: a committed entry survives a killed process.  As with the
+one-file-per-entry layout of earlier releases there is no fsync per write
+(``synchronous=NORMAL``), so an operating-system crash or power loss may
+lose the latest entries, but it leaves the database consistent.  Keep the
+store directory on a local filesystem: SQLite's locks and the WAL's
+shared-memory index are not reliable over network filesystems.
+
+Earlier releases kept one ``<digest>.json`` file per entry in the same
+directory.  The store ignores those files and they can be deleted: their
+digests embed an older package version, so they were never served.
 
 The default location is ``~/.cache/repro`` (see :func:`default_store_dir`),
 overridable with the ``REPRO_STORE_DIR`` environment variable; the CLI's
@@ -29,26 +44,34 @@ overridable with the ``REPRO_STORE_DIR`` environment variable; the CLI's
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+import weakref
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..api.results import ExperimentResult, ResultEncoder
+
+# ``sqlite3`` is imported where a store opens or queries its database, not
+# here: ``import repro`` must not load it, since simulations never open a
+# store.
 
 __all__ = ["ResultStore", "StoreError", "default_store_dir"]
 
 #: Format tag written into every envelope (bump on incompatible layout).
 STORE_FORMAT = 1
 
-_SUFFIX = ".json"
+#: The database file of a store directory.
+DB_FILE = "results.sqlite3"
 
-#: Process-wide counter making concurrent temp-file names unique even when
-#: two threads of one process write the same digest at the same time.
-_tmp_counter = itertools.count()
-_tmp_lock = threading.Lock()
+#: Page cache of a store's connection, in KiB (SQLite's default is 2 MiB).
+_CACHE_KIB = 64
+
+#: How long a write waits for another process's write lock, in seconds.
+_BUSY_TIMEOUT_S = 60.0
+
+_SCHEMA = "CREATE TABLE IF NOT EXISTS entries (digest TEXT PRIMARY KEY, envelope TEXT NOT NULL)"
 
 
 class StoreError(RuntimeError):
@@ -70,8 +93,14 @@ def default_store_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
+def _is_digest(digest: Any) -> bool:
+    return isinstance(digest, str) and bool(digest) and all(
+        c in "0123456789abcdef" for c in digest
+    )
+
+
 def _check_digest(digest: str) -> str:
-    if not digest or not all(c in "0123456789abcdef" for c in digest):
+    if not _is_digest(digest):
         raise StoreError(f"invalid config hash {digest!r}")
     return digest
 
@@ -79,7 +108,8 @@ def _check_digest(digest: str) -> str:
 class ResultStore:
     """Content-addressed, restart-durable experiment-result store.
 
-    One instance wraps one directory; any number of instances (in any
+    One instance wraps one directory through one database connection,
+    which the instance's threads share; any number of instances (in any
     number of processes) may share that directory.  ``hits``/``misses``
     count this instance's lookups, so a long-running service can report its
     cache hit rate; the on-disk state is shared, the counters are not.
@@ -94,13 +124,52 @@ class ResultStore:
             os.makedirs(self.root, exist_ok=True)
         except OSError as exc:
             raise StoreError(f"cannot create result store at {self.root}: {exc}") from None
+        self._db_path = os.path.join(self.root, DB_FILE)
+        self._lock = threading.Lock()
+        self._db = self._open()
+        # The connection object sits in a reference cycle of its own, so
+        # without this it would stay open until a garbage collection.
+        weakref.finalize(self, self._db.close)
+
+    def _open(self):
+        import sqlite3
+
+        try:
+            # Autocommit: every statement is its own transaction.
+            db = sqlite3.connect(
+                self._db_path,
+                timeout=_BUSY_TIMEOUT_S,
+                isolation_level=None,
+                check_same_thread=False,
+            )
+        except sqlite3.Error as exc:
+            raise StoreError(f"cannot open result store {self._db_path}: {exc}") from None
+        try:
+            db.execute(f"PRAGMA cache_size = -{_CACHE_KIB}")
+            db.execute("PRAGMA synchronous = NORMAL")
+            # While another process creates the same database, switching to
+            # WAL can fail at once instead of waiting for its lock.
+            deadline = time.monotonic() + _BUSY_TIMEOUT_S
+            while True:
+                try:
+                    db.execute("PRAGMA journal_mode = WAL")
+                    break
+                except sqlite3.OperationalError as exc:
+                    if "locked" not in str(exc) or time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.01)
+            db.execute(_SCHEMA)
+        except sqlite3.Error as exc:
+            db.close()
+            raise StoreError(f"cannot open result store {self._db_path}: {exc}") from None
+        return db
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
     def get(self, digest: str) -> Optional[ExperimentResult]:
-        """The stored result for ``digest``, or None (never raises on torn
-        or foreign files -- they read as absent)."""
+        """The stored result for ``digest``, or None (never raises on a
+        malformed or foreign entry -- it reads as absent)."""
         envelope = self._read(digest)
         if envelope is None:
             self.misses += 1
@@ -116,32 +185,27 @@ class ResultStore:
         return dict(envelope["meta"])
 
     def __contains__(self, digest: str) -> bool:
-        # A single _read answers both "does the file exist" (OSError reads
-        # as None) and "is it a complete entry" -- no extra stat() probe.
+        # One _read answers both "is there a row" and "is it a complete entry".
         return self._read(digest) is not None
 
-    def _entries(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """``(digest, envelope)`` of every readable entry, sorted; one read each."""
-        try:
-            names = sorted(os.listdir(self.root))
-        except OSError:
-            return
-        for name in names:
-            if name.endswith(_SUFFIX) and not name.startswith("."):
-                digest = name[: -len(_SUFFIX)]
-                envelope = self._read(digest)
-                if envelope is not None:
-                    yield digest, envelope
+    def _entries(self) -> Iterator[Tuple[str, Dict[str, Any], int]]:
+        """``(digest, envelope, bytes)`` of every readable entry, sorted by
+        digest; one query for all of them and one parse each."""
+        rows, _ = self._execute("SELECT digest, envelope FROM entries ORDER BY digest")
+        for digest, text in rows:
+            envelope = self._parse(text) if _is_digest(digest) else None
+            if envelope is not None:
+                yield digest, envelope, len(text)
 
     def keys(self) -> List[str]:
         """Every digest with a readable entry, sorted."""
-        return [digest for digest, _ in self._entries()]
+        return [digest for digest, _, _ in self._entries()]
 
     def items(self) -> List[Tuple[str, ExperimentResult]]:
         """Every readable entry as ``(digest, result)``, sorted by digest."""
         return [
             (digest, ExperimentResult.from_dict(envelope["result"]))
-            for digest, envelope in self._entries()
+            for digest, envelope, _ in self._entries()
         ]
 
     def __len__(self) -> int:
@@ -160,15 +224,13 @@ class ResultStore:
         *,
         duration_seconds: float = 0.0,
     ) -> str:
-        """Durably store ``result`` under ``digest``; returns the file path.
+        """Durably store ``result`` under ``digest``; returns the database path.
 
-        The write is atomic: the envelope lands in a unique temp file in the
-        same directory and is renamed over the final name, so a concurrent
-        reader never observes a partial entry and the last writer wins.
+        The write is one autocommitted statement, so a concurrent reader
+        never observes a partial entry and the last writer wins.
         """
         from .. import __version__
 
-        path = self._path(digest)
         envelope = {
             "store_format": STORE_FORMAT,
             "meta": {
@@ -181,56 +243,36 @@ class ResultStore:
             "result": result.to_dict(),
         }
         # json.dumps reaches the C encoder (json.dump never does).
-        text = json.dumps(envelope, separators=(",", ":"), cls=ResultEncoder) + "\n"
-        with _tmp_lock:
-            serial = next(_tmp_counter)
-        tmp_path = os.path.join(
-            self.root, f".{digest}.tmp.{os.getpid()}.{serial}{_SUFFIX}"
+        text = json.dumps(envelope, separators=(",", ":"), cls=ResultEncoder)
+        self._execute(
+            "INSERT OR REPLACE INTO entries (digest, envelope) VALUES (?, ?)",
+            (_check_digest(digest), text),
         )
-        try:
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp_path, path)
-        except OSError as exc:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise StoreError(f"cannot write store entry {digest}: {exc}") from None
         self.writes += 1
-        return path
+        return self._db_path
 
     def discard(self, digest: str) -> bool:
-        """Remove one entry; True when a file was deleted."""
-        try:
-            os.unlink(self._path(digest))
-            return True
-        except FileNotFoundError:
-            return False
-        except OSError as exc:
-            raise StoreError(f"cannot remove store entry {digest}: {exc}") from None
+        """Remove one entry; True when a row was deleted."""
+        _, removed = self._execute(
+            "DELETE FROM entries WHERE digest = ?", (_check_digest(digest),)
+        )
+        return removed > 0
 
     def clear(self, *, experiment: Optional[str] = None) -> int:
         """Delete entries (all, or only one experiment's); returns the count.
 
-        Unreadable files count as belonging to every experiment, so a full
-        ``clear()`` always leaves an empty directory.
+        Unreadable rows count as belonging to every experiment, so a full
+        ``clear()`` always leaves an empty table.
         """
+        if experiment is None:
+            return self._execute("DELETE FROM entries")[1]
+        rows, _ = self._execute("SELECT digest, envelope FROM entries ORDER BY digest")
         removed = 0
-        try:
-            names = sorted(os.listdir(self.root))
-        except OSError:
-            return 0
-        for name in names:
-            if not name.endswith(_SUFFIX) or name.startswith("."):
+        for digest, text in rows:
+            envelope = self._parse(text)
+            if envelope is not None and envelope["result"].get("experiment") != experiment:
                 continue
-            digest = name[: -len(_SUFFIX)]
-            if experiment is not None:
-                envelope = self._read(digest)
-                if envelope is not None and envelope["result"].get("experiment") != experiment:
-                    continue
-            if self.discard(digest):
-                removed += 1
+            removed += self._execute("DELETE FROM entries WHERE digest = ?", (digest,))[1]
         return removed
 
     # ------------------------------------------------------------------
@@ -239,19 +281,16 @@ class ResultStore:
     def stats(self) -> Dict[str, Any]:
         """Store-wide statistics plus this instance's lookup counters.
 
-        One pass over the directory: each entry is read and parsed exactly
-        once.
+        One pass over the table: each entry is parsed exactly once.
+        ``total_bytes`` counts the readable entries' JSON.
         """
         entries = 0
         total_bytes = 0
         by_experiment: Dict[str, int] = {}
         compute_seconds = 0.0
-        for digest, envelope in self._entries():
+        for _, envelope, size in self._entries():
             entries += 1
-            try:
-                total_bytes += os.path.getsize(self._path(digest))
-            except OSError:
-                pass
+            total_bytes += size
             experiment = str(envelope["result"].get("experiment", "?"))
             by_experiment[experiment] = by_experiment.get(experiment, 0) + 1
             duration = envelope["meta"].get("duration_seconds")
@@ -275,21 +314,35 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _path(self, digest: str) -> str:
-        return os.path.join(self.root, f"{_check_digest(digest)}{_SUFFIX}")
+    def _execute(self, sql: str, args: Sequence[Any] = ()) -> Tuple[List[tuple], int]:
+        """Run one autocommitted statement: its rows and its row count."""
+        import sqlite3
+
+        with self._lock:
+            try:
+                cursor = self._db.execute(sql, args)
+                return cursor.fetchall(), cursor.rowcount
+            except sqlite3.Error as exc:
+                raise StoreError(f"result store {self._db_path} failed: {exc}") from None
 
     def _read(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The parsed envelope for ``digest``, or None for anything else.
+        """The parsed envelope for ``digest``, or None for anything else."""
+        rows, _ = self._execute(
+            "SELECT envelope FROM entries WHERE digest = ?", (_check_digest(digest),)
+        )
+        return self._parse(rows[0][0]) if rows else None
+
+    @staticmethod
+    def _parse(text: Any) -> Optional[Dict[str, Any]]:
+        """The envelope a row's JSON holds, or None for anything else.
 
         An envelope whose result fails :meth:`ExperimentResult.is_dict_form`
         is "anything else" too, so that every read surface agrees the entry
         is absent and the next :meth:`put` overwrites it.
         """
-        path = self._path(digest)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
+            data = json.loads(text)
+        except (TypeError, ValueError):
             return None
         if not isinstance(data, dict) or "store_format" not in data:
             return None

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from enum import Enum, IntEnum
 from fractions import Fraction
 
@@ -81,11 +80,11 @@ class TestConfigHash:
 
 
 class TestEngineCaching:
-    def test_disk_cache_survives_engine_restart(self, tmp_path):
+    def test_disk_cache_survives_engine_restart(self, tmp_path, store_rows):
         cache_dir = str(tmp_path / "cache")
         first = BatchEngine(store=ResultStore(cache_dir)).run(BatchJob("table2", {"sizes": (2,)}))
         assert not first.cached
-        assert os.path.exists(os.path.join(cache_dir, f"{first.config_hash}.json"))
+        assert store_rows.text(cache_dir, first.config_hash) is not None
 
         second = BatchEngine(store=ResultStore(cache_dir)).run(BatchJob("table2", {"sizes": (2,)}))
         assert second.cached
@@ -108,18 +107,19 @@ class TestEngineCaching:
         engine = BatchEngine(store=ResultStore(cache_dir))
         engine.run_many([BatchJob("table1"), BatchJob("table2", {"sizes": (2,)})])
         store = ResultStore(cache_dir)
-        read = store._read
-        reads = []
+        parse = store._parse
+        parsed = []
 
-        def counted(digest):
-            reads.append(digest)
-            return read(digest)
+        def counted(text):
+            envelope = parse(text)
+            parsed.append(envelope["meta"]["config_hash"])
+            return envelope
 
-        monkeypatch.setattr(store, "_read", counted)
+        monkeypatch.setattr(store, "_parse", counted)
         listed = BatchEngine(store=store).cached_results()
         assert {r.job.experiment for r in listed} == {"table1", "table2"}
-        # One read per entry.
-        assert sorted(reads) == sorted(r.config_hash for r in listed)
+        # One parse per entry.
+        assert sorted(parsed) == sorted(r.config_hash for r in listed)
 
 
 class TestEngineParallel:

@@ -18,20 +18,31 @@ class TestPackageSurface:
     def test_version(self):
         assert repro.__version__ == "1.12.0"
 
-    def test_import_loads_no_numpy(self):
-        """Importing the package and every experiment loads no numpy, whose
-        import would cost each process its start-up time and memory."""
+    @staticmethod
+    def _loaded_by_import(package):
+        """The modules of ``package`` that importing repro and every
+        experiment loads, in a fresh interpreter."""
         code = (
             "import sys, repro, repro.api.registry\n"
             "repro.api.registry.discover()\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC)
         result = subprocess.run(
             [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
-        assert result.stdout.strip() == "[]"
+        return result.stdout.strip()
+
+    def test_import_loads_no_numpy(self):
+        """Importing the package and every experiment loads no numpy, whose
+        import would cost each process its start-up time and memory."""
+        assert self._loaded_by_import("numpy") == "[]"
+
+    def test_import_loads_no_sqlite3(self):
+        """Only opening a result store loads sqlite3: a simulation that
+        never opens one does not pay its import time and memory."""
+        assert self._loaded_by_import("sqlite3") == "[]"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:

@@ -184,18 +184,19 @@ class TestServerBasics:
         # An entry only the store knows: another process computed it.
         store = service.service.store
         BatchEngine(store=ResultStore(store.root)).run(BatchJob("table2", quick=True))
-        read = store._read
-        reads = []
+        parse = store._parse
+        parsed = []
 
-        def counted(digest):
-            reads.append(digest)
-            return read(digest)
+        def counted(text):
+            envelope = parse(text)
+            parsed.append(envelope["meta"]["config_hash"])
+            return envelope
 
-        monkeypatch.setattr(store, "_read", counted)
+        monkeypatch.setattr(store, "_parse", counted)
         everything = client.fetch(all=True)
         assert len(everything["results"]) == 2
-        # One read per store entry, the daemon's own included.
-        assert sorted(reads) == sorted(r["config_hash"] for r in everything["results"])
+        # One parse per store entry, the daemon's own included.
+        assert sorted(parsed) == sorted(r["config_hash"] for r in everything["results"])
 
     def test_failing_job_reports_error_and_retries(self, client):
         response = client.submit([{"experiment": "table1", "params": {"bogus_kw": 1}}])
@@ -300,17 +301,13 @@ class TestServerRobustness:
             conn.sendall(encode({"op": "ping"}))
             assert json.loads(reader.readline())["pong"] is True
 
-    def test_malformed_store_entry_is_recomputed(self, tmp_path):
+    def test_malformed_store_entry_is_recomputed(self, tmp_path, store_rows):
         # An entry whose rows are not objects must read as a store miss,
         # not fail every submit of its design point.
         store = ResultStore(str(tmp_path / "store"))
         job = BatchJob("table1", quick=True)
-        path = store.put(config_hash(job), ExperimentResult("table1", payload=[]))
-        with open(path, encoding="utf-8") as handle:
-            envelope = json.load(handle)
-        envelope["result"]["rows"] = [1]
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(envelope, handle)
+        store.put(config_hash(job), ExperimentResult("table1", payload=[]))
+        store_rows.edit(store.root, config_hash(job), "result", "rows", [1])
         with start_service_thread(port=0, store=store) as handle:
             response = ServiceClient(port=handle.port).submit([job])
         assert response["tickets"][0]["source"] == "queued"

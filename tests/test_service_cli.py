@@ -18,6 +18,7 @@ import pytest
 from repro.api import BatchEngine
 from repro.experiments.runner import main
 from repro.service import ResultStore, ServiceClient, start_service_thread
+from repro.service.store import DB_FILE
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -202,19 +203,23 @@ class TestCacheCommand:
         assert json.loads(capsys.readouterr().out)["root"] == str(tmp_path / "via-env")
 
 
+#: Every command that opens a store, less the store directory's value.
+STORE_COMMANDS = pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "table1", "--cache-dir"],
+        ["sweep", "--sizes", "2", "--cache-dir"],
+        ["export", "--cache-dir"],
+        ["serve", "--port", "0", "--store-dir"],
+        ["cache", "stats", "--store-dir"],
+        ["campaign", "run", "table1", "--store-dir"],
+    ],
+    ids=["run", "sweep", "export", "serve", "cache", "campaign"],
+)
+
+
 class TestUnopenableStore:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["run", "table1", "--cache-dir"],
-            ["sweep", "--sizes", "2", "--cache-dir"],
-            ["export", "--cache-dir"],
-            ["serve", "--port", "0", "--store-dir"],
-            ["cache", "stats", "--store-dir"],
-            ["campaign", "run", "table1", "--store-dir"],
-        ],
-        ids=["run", "sweep", "export", "serve", "cache", "campaign"],
-    )
+    @STORE_COMMANDS
     def test_store_below_a_file_is_a_usage_error(self, argv, tmp_path, capsys):
         """Every command opens its store the same way: a directory that
         cannot be created prints the store's message and exits 2."""
@@ -223,3 +228,12 @@ class TestUnopenableStore:
         root = str(afile / "sub")
         assert main(argv + [root]) == 2
         assert f"cannot create result store at {root}" in capsys.readouterr().err
+
+    @STORE_COMMANDS
+    def test_database_that_is_not_sqlite_is_a_usage_error(self, argv, tmp_path, capsys):
+        """A store directory whose database file is something else exits 2
+        with a message naming that file."""
+        db_path = tmp_path / DB_FILE
+        db_path.write_text("not a database\n" * 64)
+        assert main(argv + [str(tmp_path)]) == 2
+        assert f"cannot open result store {db_path}" in capsys.readouterr().err

@@ -1,23 +1,30 @@
 """Tests of the durable content-addressed result store (repro.service.store).
 
 Covers the service-era cache guarantees: atomic concurrent writes (no torn
-reads), restart durability, foreign and corrupt files reading as absent,
-eviction, and the version-aware cache keys the store shares with the batch
-engine.
+reads, not even from a killed writer), restart durability, foreign and
+corrupt rows reading as absent, eviction, and the version-aware cache keys
+the store shares with the batch engine.
 """
 
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import multiprocessing
 import os
+import re
+import signal
+import sqlite3
+import time
+from contextlib import closing
 
 import pytest
 
 import repro
 from repro.api import BatchEngine, BatchJob, ExperimentResult, config_hash
 from repro.service import ResultStore, StoreError, default_store_dir
+from repro.service.store import DB_FILE
 
 DIGEST = "ab12cd34ef56ab78"
 
@@ -82,19 +89,27 @@ class TestRoundTrip:
         with pytest.raises(StoreError):
             store.get("UPPER")
 
-    def test_corrupt_files_read_as_absent(self, tmp_path):
-        (tmp_path / "deadbeefdeadbeef.json").write_text("{ torn wri")
-        (tmp_path / "feedfacefeedface.json").write_text('["not", "a", "dict"]')
-        # A bare to_dict() without the store envelope is a foreign file too.
-        (tmp_path / f"{DIGEST}.json").write_text(json.dumps(make_result().to_dict()))
+    def test_corrupt_rows_read_as_absent(self, tmp_path, store_rows):
         store = ResultStore(str(tmp_path))
+        store_rows.plant(tmp_path, "deadbeefdeadbeef", "{ torn wri")
+        store_rows.plant(tmp_path, "feedfacefeedface", '["not", "a", "dict"]')
+        # A bare to_dict() without the store envelope is a foreign row too,
+        # and so are a non-text value and a key that is no config hash.
+        store_rows.plant(tmp_path, DIGEST, json.dumps(make_result().to_dict()))
+        store_rows.plant(tmp_path, "0123456789abcdef", 42)
+        store.put("cccccccccccccccc", make_result())
+        valid = store_rows.text(tmp_path, "cccccccccccccccc")
+        assert store.discard("cccccccccccccccc")
+        store_rows.plant(tmp_path, "NOT-A-HASH", valid)
         assert store.get("deadbeefdeadbeef") is None
         assert store.get("feedfacefeedface") is None
         assert store.get(DIGEST) is None
-        assert store.keys() == []
-        # clear() still removes the unreadable files.
-        assert store.clear() == 3
-        assert list(tmp_path.iterdir()) == []
+        assert store.get("0123456789abcdef") is None
+        assert store.keys() == [] and store.items() == []
+        assert store.stats()["entries"] == 0
+        # clear() still removes the unreadable rows.
+        assert store.clear() == 5
+        assert store_rows.count(tmp_path) == 0
 
 
 class TestDurabilityAndEviction:
@@ -129,12 +144,14 @@ class TestDurabilityAndEviction:
         assert len(store) == 1
 
     def test_no_temp_files_left_behind(self, tmp_path):
+        # The directory holds the database (and its WAL files), not one
+        # file per entry.
         store = ResultStore(str(tmp_path))
         for digest in ("aaaaaaaaaaaaaaaa", "bbbbbbbbbbbbbbbb"):
             store.put(digest, make_result())
-        names = [p.name for p in tmp_path.iterdir()]
-        assert all(not name.startswith(".") for name in names)
-        assert len(names) == 2
+        names = {p.name for p in tmp_path.iterdir()}
+        assert DB_FILE in names
+        assert names <= {DB_FILE, f"{DB_FILE}-wal", f"{DB_FILE}-shm"}
 
     def test_stats_shape(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -149,19 +166,19 @@ class TestDurabilityAndEviction:
 
 
 class TestEntryLayout:
-    """New entries are one compact line; indented entries of older
-    releases (same envelope, ``indent=2``) still read everywhere."""
+    """An entry is one row of compact JSON in the directory's database; the
+    one-file-per-entry JSON of earlier releases is ignored."""
 
-    def test_entry_is_one_line_of_compact_json(self, tmp_path):
+    def test_entry_is_one_line_of_compact_json(self, tmp_path, store_rows):
         store = ResultStore(str(tmp_path))
-        with open(store.put(DIGEST, make_result()), encoding="utf-8") as handle:
-            text = handle.read()
-        assert text.endswith("\n") and text.count("\n") == 1
+        assert store.put(DIGEST, make_result()) == str(tmp_path / DB_FILE)
+        text = store_rows.text(tmp_path, DIGEST)
+        assert "\n" not in text
         envelope = json.loads(text)
-        assert text == json.dumps(envelope, separators=(",", ":")) + "\n"
+        assert text == json.dumps(envelope, separators=(",", ":"))
         assert envelope["store_format"] == 1
 
-    def test_indented_entry_still_reads(self, tmp_path):
+    def test_json_files_of_earlier_releases_are_ignored(self, tmp_path):
         job = BatchJob("table1")
         digest = config_hash(job)
         envelope = {
@@ -176,30 +193,22 @@ class TestEntryLayout:
             # Synthetic rows: a recomputed table1 would not carry them.
             "result": make_result("table1").to_dict(),
         }
-        with open(tmp_path / f"{digest}.json", "w", encoding="utf-8") as handle:
+        legacy = tmp_path / f"{digest}.json"
+        with open(legacy, "w", encoding="utf-8") as handle:
             json.dump(envelope, handle, indent=2)
             handle.write("\n")
 
         store = ResultStore(str(tmp_path))
-        assert store.get(digest).rows() == make_result().rows()
-        assert store.entry_meta(digest) == envelope["meta"]
-        assert store.keys() == [digest]
-        stats = store.stats()
-        assert stats["entries"] == 1
-        assert stats["by_experiment"] == {"table1": 1}
-        assert stats["saved_compute_seconds"] == 0.75
+        assert store.get(digest) is None
+        assert store.entry_meta(digest) is None
+        assert store.keys() == []
+        assert store.stats()["entries"] == 0
         [outcome] = BatchEngine(store=store).run_many([job])
-        assert outcome.cached
-        assert outcome.result.rows() == make_result().rows()
-
-
-def _edit_envelope(path: str, section: str, key: str, value) -> None:
-    """Overwrite one field of a stored envelope in place."""
-    with open(path, encoding="utf-8") as handle:
-        envelope = json.load(handle)
-    envelope[section][key] = value
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(envelope, handle)
+        assert not outcome.cached
+        assert store.get(digest).rows() == outcome.result.rows()
+        # The store neither reads nor removes the old file.
+        assert store.clear() == 1
+        assert legacy.exists()
 
 
 class TestMalformedEntries:
@@ -212,11 +221,12 @@ class TestMalformedEntries:
         [("rows", [1]), ("rows", "xyz"), ("rows", None), ("params", [1])],
         ids=["rows-of-ints", "rows-string", "rows-null", "params-list"],
     )
-    def test_reads_as_absent_and_is_recomputed(self, tmp_path, field, value):
+    def test_reads_as_absent_and_is_recomputed(self, tmp_path, store_rows, field, value):
         job, sibling = BatchJob("table1"), BatchJob("area")
         digest = config_hash(job)
         store = ResultStore(str(tmp_path))
-        _edit_envelope(store.put(digest, make_result("table1")), "result", field, value)
+        store.put(digest, make_result("table1"))
+        store_rows.edit(tmp_path, digest, "result", field, value)
 
         assert store.get(digest) is None
         assert digest not in store
@@ -227,10 +237,11 @@ class TestMalformedEntries:
         assert [(o.ok, o.cached) for o in outcomes] == [(True, False), (True, False)]
         assert store.get(digest).rows() == outcomes[0].result.rows()
 
-    def test_non_numeric_duration_does_not_break_stats(self, tmp_path):
+    def test_non_numeric_duration_does_not_break_stats(self, tmp_path, store_rows):
         store = ResultStore(str(tmp_path))
         store.put("0123456789abcdef", make_result(), duration_seconds=1.5)
-        _edit_envelope(store.put(DIGEST, make_result()), "meta", "duration_seconds", "abc")
+        store.put(DIGEST, make_result())
+        store_rows.edit(tmp_path, DIGEST, "meta", "duration_seconds", "abc")
         stats = store.stats()
         assert stats["entries"] == 2
         assert stats["saved_compute_seconds"] == 1.5
@@ -275,6 +286,89 @@ class TestConcurrentWriters:
         assert len(reader.get(DIGEST).rows()) == rows
 
 
+def _open_and_put(root: str, start) -> None:
+    """Child-process body: open the store when released, write one entry."""
+    from repro.service import ResultStore
+
+    while not start.is_set():  # spin: a blocking wait wakes the openers apart
+        pass
+    ResultStore(root).put(f"{os.getpid():016x}", make_result())
+
+
+class TestConcurrentCreation:
+    def test_processes_creating_one_store_at_once(self, tmp_path):
+        """Processes that create one store's database at the same moment
+        all open it (switching a new database to WAL can collide)."""
+        for round_ in range(16):
+            root = str(tmp_path / str(round_))
+            start = multiprocessing.Event()
+            openers = [
+                multiprocessing.Process(target=_open_and_put, args=(root, start))
+                for _ in range(4)
+            ]
+            for proc in openers:
+                proc.start()
+            time.sleep(0.05)
+            start.set()
+            parent = ResultStore(root)
+            for proc in openers:
+                proc.join(timeout=120)
+            assert [proc.exitcode for proc in openers] == [0] * 4
+            assert len(parent) == 4
+
+
+def _write_until_killed(root: str) -> None:
+    """Child-process body: put numbered entries, one after another, forever."""
+    from repro.api import ExperimentResult
+    from repro.service import ResultStore
+
+    store = ResultStore(root)
+    for serial in itertools.count():
+        payload = [{"row": i, "value": serial} for i in range(50)]
+        store.put(f"{serial:016x}", ExperimentResult(experiment="stress", payload=payload))
+
+
+class TestKilledWriter:
+    def test_entries_stay_complete_and_the_lock_is_released(self, tmp_path):
+        """SIGKILL a writer in the middle of its loop of puts: every entry
+        the reopened store lists is complete, and nothing holds the lock."""
+        root = str(tmp_path)
+        writer = multiprocessing.Process(target=_write_until_killed, args=(root,))
+        writer.start()
+        try:
+            reader = ResultStore(root)
+            deadline = time.monotonic() + 60
+            while len(reader) < 20:
+                assert writer.is_alive() and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            writer.kill()
+            writer.join(timeout=60)
+        assert writer.exitcode == -signal.SIGKILL
+
+        store = ResultStore(root)
+        keys = store.keys()
+        assert len(keys) >= 20
+        for digest in keys:
+            rows = store.get(digest).rows()
+            assert len(rows) == 50
+            assert {row["value"] for row in rows} == {int(digest, 16)}
+        # A writer that does not wait at all still gets the write lock.
+        with closing(sqlite3.connect(os.path.join(root, DB_FILE), timeout=0)) as probe:
+            probe.execute("BEGIN IMMEDIATE")
+            probe.execute("ROLLBACK")
+        store.put(DIGEST, make_result())
+        assert store.get(DIGEST).rows() == make_result().rows()
+
+
+class TestUnopenableDatabase:
+    def test_a_database_file_that_is_not_sqlite_is_a_store_error(self, tmp_path):
+        db_path = tmp_path / DB_FILE
+        db_path.write_text("not a database\n" * 64)
+        with pytest.raises(StoreError, match=re.escape(f"cannot open result store {db_path}")):
+            ResultStore(str(tmp_path))
+
+
 class TestDefaultLocation:
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "explicit"))
@@ -296,11 +390,11 @@ class TestDefaultLocation:
 
 
 class TestEngineIntegration:
-    def test_engine_writes_store_envelopes(self, tmp_path):
+    def test_engine_writes_store_envelopes(self, tmp_path, store_rows):
         engine = BatchEngine(store=ResultStore(str(tmp_path)))
         result = engine.run(BatchJob("table1"))
-        # The engine writes store envelopes under the familiar layout.
-        envelope = json.loads((tmp_path / f"{result.config_hash}.json").read_text())
+        # The engine writes store envelopes, keyed by config hash.
+        envelope = json.loads(store_rows.text(tmp_path, result.config_hash))
         assert envelope["store_format"] == 1
         assert envelope["meta"]["experiment"] == "table1"
 
@@ -348,34 +442,35 @@ class TestEngineIntegration:
 class TestSingleReadPaths:
     """Regressions for the double-parse bugs in stats() and __contains__."""
 
-    def _counting_read(self, store, monkeypatch):
+    def _counting(self, store, monkeypatch, name):
         calls = []
-        original = store._read
+        original = getattr(store, name)
 
-        def counted(digest):
-            calls.append(digest)
-            return original(digest)
+        def counted(arg):
+            calls.append(arg)
+            return original(arg)
 
-        monkeypatch.setattr(store, "_read", counted)
+        monkeypatch.setattr(store, name, counted)
         return calls
 
-    def test_stats_parses_each_entry_exactly_once(self, tmp_path, monkeypatch):
+    def test_stats_parses_each_entry_exactly_once(self, tmp_path, monkeypatch, store_rows):
         store = ResultStore(str(tmp_path))
         digests = ["ab12cd34ef56ab78", "0123456789abcdef", "feedfacefeedface"]
         for digest in digests:
             store.put(digest, make_result())
-        calls = self._counting_read(store, monkeypatch)
+        rows = sorted(store_rows.text(tmp_path, digest) for digest in digests)
+        reads = self._counting(store, monkeypatch, "_read")
+        parses = self._counting(store, monkeypatch, "_parse")
         stats = store.stats()
         assert stats["entries"] == 3
-        assert sorted(calls) == sorted(digests)
+        assert reads == [] and sorted(parses) == rows
 
-    def test_stats_values_unchanged_by_restructuring(self, tmp_path):
+    def test_stats_values_unchanged_by_restructuring(self, tmp_path, store_rows):
         store = ResultStore(str(tmp_path))
         store.put(DIGEST, make_result("table1"), duration_seconds=1.5)
         store.put("0123456789abcdef", make_result("table2"), duration_seconds=0.5)
         # Unreadable garbage must be skipped, not counted.
-        with open(os.path.join(store.root, "deadbeefdeadbeef.json"), "w") as handle:
-            handle.write("{torn")
+        store_rows.plant(tmp_path, "deadbeefdeadbeef", "{torn")
         stats = store.stats()
         assert stats["entries"] == 2
         assert stats["by_experiment"] == {"table1": 1, "table2": 1}
@@ -385,13 +480,13 @@ class TestSingleReadPaths:
     def test_contains_probes_the_file_once(self, tmp_path, monkeypatch):
         store = ResultStore(str(tmp_path))
         store.put(DIGEST, make_result())
-        calls = self._counting_read(store, monkeypatch)
+        calls = self._counting(store, monkeypatch, "_read")
+        parses = self._counting(store, monkeypatch, "_parse")
         assert DIGEST in store
-        assert calls == [DIGEST]
+        assert calls == [DIGEST] and len(parses) == 1
 
-    def test_contains_treats_torn_files_as_absent(self, tmp_path):
+    def test_contains_treats_torn_files_as_absent(self, tmp_path, store_rows):
         store = ResultStore(str(tmp_path))
-        with open(os.path.join(store.root, f"{DIGEST}.json"), "w") as handle:
-            handle.write("{torn")
+        store_rows.plant(tmp_path, DIGEST, "{torn")
         assert DIGEST not in store
         assert "0123456789abcdef" not in store

@@ -5,7 +5,8 @@ each scenario here is small, seeded and fully deterministic, so a change to
 allocation order, event jumps or active-set stepping moves at least one
 count.  A pinned value may change only with a deliberate change to the
 simulated timing.  The same holds for the WCTT analysis: which path a design
-point takes shows in call counts, not in its (bit-identical) bounds.
+point takes shows in call counts, not in its (bit-identical) bounds, and
+the result store's reads and writes show in its counters and its files.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import weakref
 import pytest
 
 from repro.analysis import vector
-from repro.api import Scenario, sweep
+from repro.analysis.backends import AnalysisBackend
+from repro.api import BatchEngine, Scenario, sweep, sweep_jobs
 from repro.core.arbitration import Arbiter, WeightedRoundRobinArbiter
 from repro.core.wctt_regular import RegularMeshWCTTAnalysis
 from repro.core.wctt_weighted import WaWWaPWCTTAnalysis
@@ -29,6 +31,7 @@ from repro.manycore.system import ManycoreSystem
 from repro.noc.network import Network
 from repro.noc.nic import NIC
 from repro.noc.router import Router
+from repro.service import ResultStore
 from repro.workloads.eembc import autobench_suite
 from repro.workloads.synthetic import UniformRandomTraffic
 
@@ -240,3 +243,31 @@ class TestDefaultPathVectorizes:
             scenario_wctt.run(scenario=scenario)
         assert [calls[0] for calls in scalar] == [0, 0]
         assert summaries[0] == len(points)
+
+    def test_each_point_is_checked_once(self, monkeypatch):
+        points = self._points()
+        required = _count_calls(monkeypatch, AnalysisBackend, "require")
+        supported = _count_calls(monkeypatch, vector, "vector_supported")
+        for scenario in points:
+            scenario_wctt.run(scenario=scenario)
+        assert (required[0], supported[0]) == (len(points), len(points))
+
+
+class TestStoreWork:
+    """A design point is one row of the store's database: a cold grid run
+    writes one per point into a fixed set of files, a warm one reads them."""
+
+    def test_cold_then_warm_grid(self, tmp_path):
+        jobs = sweep_jobs(Scenario.mesh(4), **SWEEP_GRID)[::49]
+        assert len(jobs) == 24
+        one = ResultStore(str(tmp_path / "one"))
+        BatchEngine(store=one).run_many(jobs[:1])
+        cold = ResultStore(str(tmp_path / "grid"))
+        BatchEngine(store=cold).run_many(jobs)
+        assert (cold.writes, cold.misses, cold.hits) == (24, 24, 0)
+        files = sorted(path.name for path in (tmp_path / "grid").iterdir())
+        assert files == sorted(path.name for path in (tmp_path / "one").iterdir())
+
+        warm = ResultStore(cold.root)
+        BatchEngine(store=warm).run_many(jobs)
+        assert (warm.writes, warm.misses, warm.hits) == (0, 0, 24)
