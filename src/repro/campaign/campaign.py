@@ -58,9 +58,7 @@ CHECKPOINT_EXPERIMENT = "campaign_shard"
 #: Format tag written into every manifest (bump on incompatible layout).
 MANIFEST_FORMAT = 1
 
-#: Subdirectory of the store root holding campaign manifests.  Manifests
-#: must not live in the store root itself: their filenames are campaign IDs,
-#: which the store's digest check would reject during clear()/keys().
+#: Subdirectory of the store root holding campaign manifests.
 _MANIFEST_DIR = "campaigns"
 
 _CAMPAIGN_SALT = "repro-campaign:"
