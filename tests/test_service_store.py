@@ -8,6 +8,7 @@ the store shares with the batch engine.
 
 from __future__ import annotations
 
+import concurrent.futures
 import inspect
 import itertools
 import json
@@ -16,6 +17,7 @@ import os
 import re
 import signal
 import sqlite3
+import sys
 import time
 from contextlib import closing
 
@@ -284,6 +286,28 @@ class TestConcurrentWriters:
         assert all(proc.exitcode == 0 for proc in writers)
         assert observed > 0
         assert len(reader.get(DIGEST).rows()) == rows
+
+    def test_threads_share_one_store(self, tmp_path):
+        """A store's threads share its one connection: more threads than
+        cores, switching as often as the interpreter allows, keep every
+        entry whole and lose none."""
+        store = ResultStore(str(tmp_path))
+
+        def work(thread: int) -> None:
+            for i in range(25):
+                digest = f"{thread:08x}{i:08x}"
+                store.put(digest, make_result(rows=thread % 5 + 1))
+                assert len(store.get(digest).rows()) == thread % 5 + 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                for future in [pool.submit(work, thread) for thread in range(8)]:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(store) == 200
 
 
 def _open_and_put(root: str, start) -> None:
