@@ -332,11 +332,17 @@ class TestConcurrentCreation:
             ]
             for proc in openers:
                 proc.start()
-            time.sleep(0.05)
-            start.set()
-            parent = ResultStore(root)
-            for proc in openers:
-                proc.join(timeout=120)
+            try:
+                time.sleep(0.05)
+                start.set()
+                parent = ResultStore(root)
+                for proc in openers:
+                    proc.join(timeout=120)
+            finally:
+                start.set()
+                for proc in openers:
+                    if proc.is_alive():
+                        proc.kill()
             assert [proc.exitcode for proc in openers] == [0] * 4
             assert len(parent) == 4
 
